@@ -12,7 +12,6 @@ from .caterpillar import (
 from .errors import ClassMembershipError, GraphInputError, OracleBudgetError
 from .generators import (
     GadgetResult,
-    GenSpec,
     caterpillar_from_buckets,
     enumerate_rooted_forests,
     enumerate_threshold,
@@ -59,7 +58,6 @@ from .recognition import (
     is_proper_interval,
     qt_forest_graph,
     quasi_threshold_forest,
-    recognize_all,
     replay_creation_sequence,
     split_partition,
     threshold_creation_sequence,

@@ -114,13 +114,36 @@ def materialize_fill_edges(g: Graph, p: PointPlacement) -> EdgeSet:
     return frozenset(fill)
 
 
-def caterpillar_pig_completion(g: Graph) -> CompletionResult:
-    """Minimum proper-interval completion of a caterpillar."""
-    d = caterpillar_decomposition(g)
+def _describes(d: CaterpillarDecomposition, g: Graph) -> bool:
+    """True iff d names each vertex of g once and its edges are exactly E(g).
+
+    Compares edge lists instead of building the graph d describes, whose
+    n-bit masks would double the peak memory on long caterpillars.
+    """
+    named = list(d.spine) + [leaf for bucket in d.buckets for leaf in bucket]
+    if not d.spine or len(d.buckets) != len(d.spine) or sorted(named) != list(range(g.n)):
+        return False
+    pairs = list(zip(d.spine, d.spine[1:]))
+    for v, bucket in zip(d.spine, d.buckets):
+        pairs.extend((v, leaf) for leaf in bucket)
+    return sorted(edge(u, v) for u, v in pairs) == g.edges()
+
+
+def caterpillar_pig_completion(g: Graph, d: CaterpillarDecomposition | None = None) -> CompletionResult:
+    """Minimum proper-interval completion of a caterpillar.
+
+    Computes the spine decomposition if not supplied; a supplied one must
+    describe g exactly.
+    """
     if d is None:
-        raise ClassMembershipError("caterpillar")
+        d = caterpillar_decomposition(g)
+        if d is None:
+            raise ClassMembershipError("caterpillar")
+    elif not _describes(d, g):
+        raise GraphInputError("caterpillar decomposition does not describe the input graph")
     tables = build_placement_tables(d)
     placement = placement_from_tables(d, tables)
     fill = materialize_fill_edges(g, placement)
-    assert len(fill) == tables.answer, "DP answer disagrees with the materialized fill"
+    if len(fill) != tables.answer:
+        raise AssertionError("DP answer disagrees with the materialized fill")
     return CompletionResult(fill, tables.answer, placement, "caterpillar")

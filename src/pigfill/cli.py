@@ -17,7 +17,6 @@ import time
 from .caterpillar import caterpillar_pig_completion
 from .errors import ClassMembershipError, GraphInputError, OracleBudgetError
 from .generators import (
-    GenSpec,
     gen_caterpillar,
     gen_quasi_threshold,
     gen_split,
@@ -29,22 +28,54 @@ from .graphio import load_graph, parse_graph, serialize_graph
 from .oracle import OracleBudget, brute_max_cut, brute_min_cobipartite, brute_min_pig
 from .quasithreshold import qt_cobipartite_completion
 from .recognition import (
-    CaterpillarDecomposition,
-    CreationSequence,
     PigVerdict,
-    QtForest,
-    SplitPartition,
     caterpillar_decomposition,
     is_proper_interval,
     quasi_threshold_forest,
-    recognize_all,
+    split_partition,
     threshold_creation_sequence,
 )
 from .results import CliqueBipartition, CompletionResult, PointPlacement
 from .threshold import threshold_pig_completion
-from .xcheck import run_xcheck
+from .xcheck import SUITES, run_xcheck
 
 SCHEMA_VERSION = 1
+
+# One row per graph class, most specific first, which is also the order in
+# which ``complete --algo auto`` tries the rows that have a completer.  A
+# completer accepts its row's certificate.  Rows are module-level dicts so that
+# tracers patching module attributes and module dicts reach the functions.
+_THRESHOLD = dict(
+    name="threshold", key="threshold", algo="threshold",
+    recognize=threshold_creation_sequence, complete=threshold_pig_completion,
+    json=lambda seq: {"steps": [[v, t] for v, t in seq.steps]},
+)
+_CATERPILLAR = dict(
+    name="caterpillar", key="caterpillar", algo="caterpillar",
+    recognize=caterpillar_decomposition, complete=caterpillar_pig_completion,
+    json=lambda d: {"spine": list(d.spine), "buckets": [list(b) for b in d.buckets]},
+)
+_QUASI_THRESHOLD = dict(
+    name="quasi-threshold", key="quasiThreshold", algo="qt-cobipartite",
+    recognize=quasi_threshold_forest, complete=qt_cobipartite_completion,
+    json=lambda f: {"parents": list(f.parent), "roots": list(f.roots)},
+)
+_SPLIT = dict(
+    name="split", key="split", algo=None,
+    recognize=split_partition, complete=None,
+    json=lambda p: {"clique": list(p.clique), "independent": list(p.independent)},
+)
+_PROPER_INTERVAL = dict(
+    name="proper-interval", key="properInterval", algo=None,
+    recognize=is_proper_interval, complete=None,
+    json=lambda v: {
+        "isProperInterval": v.is_pig,
+        "witnessKind": v.witness_kind,
+        "witness": list(v.witness) if v.witness else None,
+    },
+)
+CLASSES = (_THRESHOLD, _CATERPILLAR, _QUASI_THRESHOLD, _SPLIT, _PROPER_INTERVAL)
+_COMPLETABLE = [row for row in CLASSES if row["complete"]]
 
 
 def _read_graph(path: str) -> Graph:
@@ -57,27 +88,7 @@ def _digest(g: Graph) -> str:
     return "sha256:" + hashlib.sha256(serialize_graph(g).encode()).hexdigest()
 
 
-def _cert_json(cert) -> dict | None:
-    if cert is None:
-        return None
-    if isinstance(cert, CreationSequence):
-        return {"steps": [[v, t] for v, t in cert.steps]}
-    if isinstance(cert, QtForest):
-        return {"parents": list(cert.parent), "roots": list(cert.roots)}
-    if isinstance(cert, CaterpillarDecomposition):
-        return {"spine": list(cert.spine), "buckets": [list(b) for b in cert.buckets]}
-    if isinstance(cert, SplitPartition):
-        return {"clique": list(cert.clique), "independent": list(cert.independent)}
-    if isinstance(cert, PigVerdict):
-        return {
-            "isProperInterval": cert.is_pig,
-            "witnessKind": cert.witness_kind,
-            "witness": list(cert.witness) if cert.witness else None,
-        }
-    raise TypeError(f"unexpected certificate {cert!r}")
-
-
-def _envelope(g: Graph, result: CompletionResult, runtime_ms: float, sequence=None) -> dict:
+def _envelope(g: Graph, result: CompletionResult, runtime_ms: float, sequence: dict | None) -> dict:
     env: dict = {
         "schema_version": SCHEMA_VERSION,
         "input": {"digest": _digest(g), "n": g.n, "m": g.m},
@@ -92,7 +103,7 @@ def _envelope(g: Graph, result: CompletionResult, runtime_ms: float, sequence=No
     elif isinstance(cert, PointPlacement):
         env["placement"] = {"spine": list(cert.spine), "points": [list(p) for p in cert.points]}
     if sequence is not None:
-        env["sequence"] = _cert_json(sequence)
+        env["sequence"] = sequence
     if result.lower_bound_for:
         env["lower_bound_for"] = result.lower_bound_for
     return env
@@ -121,24 +132,16 @@ def _print_envelope_text(env: dict) -> None:
 
 def _cmd_recognize(args) -> int:
     g = _read_graph(args.graph)
-    report = recognize_all(g)
+    certs = [row["recognize"](g) for row in CLASSES]
+    # every graph gets a PigVerdict; only the others signal non-membership with None
+    members = [cert.is_pig if isinstance(cert, PigVerdict) else cert is not None for cert in certs]
     out = {
         "schema_version": SCHEMA_VERSION,
         "input": {"digest": _digest(g), "n": g.n, "m": g.m},
-        "classes": {
-            "threshold": report["threshold"] is not None,
-            "quasiThreshold": report["quasi_threshold"] is not None,
-            "caterpillar": report["caterpillar"] is not None,
-            "split": report["split"] is not None,
-            "properInterval": report["proper_interval"].is_pig,
-        },
-        "mostSpecific": report["most_specific"],
+        "classes": {row["key"]: member for row, member in zip(CLASSES, members)},
+        "mostSpecific": next((row["name"] for row, member in zip(CLASSES, members) if member), "none"),
         "certificates": {
-            "threshold": _cert_json(report["threshold"]),
-            "quasiThreshold": _cert_json(report["quasi_threshold"]),
-            "caterpillar": _cert_json(report["caterpillar"]),
-            "split": _cert_json(report["split"]),
-            "properInterval": _cert_json(report["proper_interval"]),
+            row["key"]: None if cert is None else row["json"](cert) for row, cert in zip(CLASSES, certs)
         },
     }
     print(json.dumps(out, indent=2))
@@ -146,35 +149,28 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    g = _read_graph(args.graph)
-    algo = args.algo
-    if algo == "auto":
-        if threshold_creation_sequence(g) is not None:
-            algo = "threshold"
-        elif caterpillar_decomposition(g) is not None:
-            algo = "caterpillar"
-        elif quasi_threshold_forest(g) is not None:
-            algo = "qt-cobipartite"
-        elif g.n <= args.max_n:
-            algo = "oracle"
-        else:
-            raise ClassMembershipError(
-                "threshold, caterpillar or quasi-threshold (and too large for the oracle)"
-            )
     start = time.perf_counter()
+    g = _read_graph(args.graph)
     sequence = None
-    if algo == "threshold":
-        result = threshold_pig_completion(g, cost_only=args.cost_only)
-        sequence = threshold_creation_sequence(g)
-    elif algo == "caterpillar":
-        result = caterpillar_pig_completion(g)
-    elif algo == "qt-cobipartite":
-        result = qt_cobipartite_completion(g)
-    elif algo == "oracle":
-        cost, fill = brute_min_pig(g, OracleBudget(max_vertices=args.max_n), threads=args.threads)
+    for row in _COMPLETABLE:
+        if args.algo not in ("auto", row["algo"]):
+            continue
+        cert = row["recognize"](g)
+        # an explicit --algo runs even without a certificate: the completer
+        # then recognizes again and raises with a witness
+        if cert is not None or args.algo != "auto":
+            if row is _THRESHOLD:
+                result = row["complete"](g, cert, cost_only=args.cost_only)
+                sequence = row["json"](cert)
+            else:
+                result = row["complete"](g, cert)
+            break
+    else:
+        if args.algo == "auto" and g.n > args.max_n:
+            *first, last = (row["name"] for row in _COMPLETABLE)
+            raise ClassMembershipError(f"{', '.join(first)} or {last} (and too large for the oracle)")
+        cost, fill = brute_min_pig(g, OracleBudget(max_vertices=args.max_n))
         result = CompletionResult(fill, cost, None, "oracle")
-    else:  # pragma: no cover - argparse restricts choices
-        raise GraphInputError(f"unknown algorithm {algo!r}")
     runtime_ms = (time.perf_counter() - start) * 1000.0
     env = _envelope(g, result, runtime_ms, sequence)
     if args.json:
@@ -185,11 +181,11 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    start = time.perf_counter()
     g = _read_graph(args.graph)
     budget = OracleBudget(max_vertices=args.max_n) if args.max_n else None
-    start = time.perf_counter()
     if args.solver == "pig":
-        cost, fill = brute_min_pig(g, budget or OracleBudget(max_vertices=8), threads=args.threads)
+        cost, fill = brute_min_pig(g, budget or OracleBudget(max_vertices=8))
         payload = {"cost": cost, "fill_edges": [list(e) for e in sorted_edges(fill)]}
     elif args.solver == "cobip":
         cost, parts = brute_min_cobipartite(g, budget)
@@ -214,35 +210,38 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = GenSpec(
-        klass=args.klass,
-        n=args.n,
-        seed=args.seed,
-        p_dominating=args.p_dominating,
-        spine_len=args.spine_len,
-        max_leaves=args.max_leaves,
-    )
-    if args.klass == "threshold":
-        g, cert = gen_threshold(args.n, args.p_dominating, args.seed)
-    elif args.klass == "quasi-threshold":
-        g, cert = gen_quasi_threshold(args.n, args.seed)
-    elif args.klass == "caterpillar":
-        g, cert = gen_caterpillar(args.spine_len, args.max_leaves, args.seed)
-    elif args.klass == "split":
-        g, cert = gen_split(args.n, args.seed)
-    else:  # gadget
+    if args.klass == "gadget":
         if not args.input:
             raise GraphInputError("gen gadget needs --input with a connected split graph")
         base = _read_graph(args.input)
         gadget = split_pig_reduction_gadget(base)
         g = gadget.graph
-        cert = gadget
-    params = spec.params() if args.klass != "gadget" else {"class": "gadget", "input_digest": _digest(base)}
+        spec = {"class": "gadget", "input_digest": _digest(base)}
+        certificate = {
+            "copyMaps": [list(m) for m in gadget.copy_maps],
+            "bigClique": list(gadget.big_clique),
+            "independentCopies": [list(m) for m in gadget.independent_copies],
+        }
+    else:
+        spec = {"class": args.klass, "seed": args.seed}
+        if args.klass == "threshold":
+            g, cert = gen_threshold(args.n, args.p_dominating, args.seed)
+            spec.update(n=args.n, p_dominating=args.p_dominating)
+        elif args.klass == "quasi-threshold":
+            g, cert = gen_quasi_threshold(args.n, args.seed)
+            spec.update(n=args.n)
+        elif args.klass == "caterpillar":
+            g, cert = gen_caterpillar(args.spine_len, args.max_leaves, args.seed)
+            spec.update(spine_len=args.spine_len, max_leaves=args.max_leaves)
+        else:  # split
+            g, cert = gen_split(args.n, args.seed)
+            spec.update(n=args.n)
+        certificate = next(row["json"] for row in CLASSES if row["name"] == args.klass)(cert)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
-        "spec": params,
+        "spec": spec,
         "digest": _digest(g),
-        "certificate": _gen_cert_json(cert),
+        "certificate": certificate,
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -255,18 +254,6 @@ def _cmd_gen(args) -> int:
     else:
         sys.stdout.write(serialize_graph(g))
     return 0
-
-
-def _gen_cert_json(cert) -> dict | None:
-    from .generators import GadgetResult
-
-    if isinstance(cert, GadgetResult):
-        return {
-            "copyMaps": [list(m) for m in cert.copy_maps],
-            "bigClique": list(cert.big_clique),
-            "independentCopies": [list(m) for m in cert.independent_copies],
-        }
-    return _cert_json(cert)
 
 
 def _cmd_verify(args) -> int:
@@ -332,20 +319,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument(
         "--algo",
-        choices=["auto", "threshold", "qt-cobipartite", "caterpillar", "oracle"],
+        choices=["auto", *(row["algo"] for row in _COMPLETABLE), "oracle"],
         default="auto",
     )
     p.add_argument("--json", action="store_true")
     p.add_argument("--cost-only", action="store_true", help="skip materializing fill edges")
     p.add_argument("--max-n", type=int, default=8, help="oracle budget for --algo oracle/auto")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_complete)
 
     p = sub.add_parser("oracle", help="run a brute-force reference solver")
     p.add_argument("solver", choices=["pig", "cobip", "maxcut"])
     p.add_argument("graph")
     p.add_argument("--max-n", type=int, default=0, help="override the solver budget")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_oracle)
 
@@ -369,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("xcheck", help="run the oracle-equality suites")
     p.add_argument("--class", dest="klass", default="all",
-                   choices=["threshold", "quasi-threshold", "caterpillar", "recognition", "all"])
+                   choices=[*SUITES, "all"])
     p.add_argument("--max-n", type=int, default=None)
     p.set_defaults(fn=_cmd_xcheck)
 

@@ -32,28 +32,6 @@ from .recognition import (
 )
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """Reproducible description of one generated instance."""
-
-    klass: str
-    n: int = 0
-    seed: int = 0
-    p_dominating: float = 0.5
-    spine_len: int = 0
-    max_leaves: int = 0
-
-    def params(self) -> dict:
-        out = {"class": self.klass, "seed": self.seed}
-        if self.klass == "threshold":
-            out.update(n=self.n, p_dominating=self.p_dominating)
-        elif self.klass == "caterpillar":
-            out.update(spine_len=self.spine_len, max_leaves=self.max_leaves)
-        else:
-            out.update(n=self.n)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # threshold
 

@@ -9,13 +9,11 @@ are refused, never truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 
 from .errors import OracleBudgetError
-from .graph import Edge, EdgeSet, Graph, iter_non_edges
+from .graph import EdgeSet, Graph, iter_non_edges
 from .recognition import pig_mask_check
-
-_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -37,25 +35,12 @@ def _require(n: int, budget: OracleBudget, what: str) -> None:
 # minimum proper-interval completion
 
 
-def _scan_chunk(chunk: list[tuple[Edge, ...]], base: list[int], n: int) -> tuple[Edge, ...] | None:
-    for combo in chunk:
-        masks = base.copy()
-        for u, v in combo:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        if pig_mask_check(masks, n):
-            return combo
-    return None
-
-
-def brute_min_pig(
-    g: Graph, budget: OracleBudget | None = None, threads: int = 1
-) -> tuple[int, EdgeSet]:
+def brute_min_pig(g: Graph, budget: OracleBudget | None = None) -> tuple[int, EdgeSet]:
     """Minimum proper-interval completion by escalating fill size.
 
     For k = 0, 1, 2, ... the k-subsets of non-edges are tried in lexicographic
     order and the first passing subset is returned, so the witness is
-    deterministic (also under the chunked parallel scan).
+    deterministic.
     """
     budget = budget or OracleBudget(max_vertices=8)
     _require(g.n, budget, "brute_min_pig")
@@ -65,42 +50,14 @@ def brute_min_pig(
     for k in range(len(non_edges) + 1):
         if budget.max_fill is not None and k > budget.max_fill:
             raise OracleBudgetError(f"no completion within the fill cap {budget.max_fill}")
-        if threads <= 1:
-            hit = None
-            for combo in combinations(non_edges, k):
-                masks = base.copy()
-                for u, v in combo:
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-                if pig_mask_check(masks, n):
-                    hit = combo
-                    break
-        else:
-            hit = _parallel_scan(non_edges, k, base, n, threads)
-        if hit is not None:
-            return k, frozenset(hit)
+        for combo in combinations(non_edges, k):
+            masks = base.copy()
+            for u, v in combo:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            if pig_mask_check(masks, n):
+                return k, frozenset(combo)
     raise AssertionError("unreachable: the complete graph is proper interval")
-
-
-def _parallel_scan(non_edges, k, base, n, threads) -> tuple[Edge, ...] | None:
-    from concurrent.futures import ThreadPoolExecutor
-
-    stream = combinations(non_edges, k)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while True:
-            wave = []
-            for _ in range(threads):
-                chunk = list(islice(stream, _CHUNK))
-                if not chunk:
-                    break
-                wave.append(pool.submit(_scan_chunk, chunk, base, n))
-            if not wave:
-                return None
-            # earliest chunk wins, so results match the serial scan exactly
-            for fut in wave:
-                hit = fut.result()
-                if hit is not None:
-                    return hit
 
 
 # ---------------------------------------------------------------------------

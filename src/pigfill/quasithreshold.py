@@ -28,10 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ClassMembershipError
+from .errors import ClassMembershipError, GraphInputError
 from .graph import Graph, non_edges_within
 from .oracle import forbidden_subgraph_scan
-from .recognition import QtForest, qt_forest_postorder, quasi_threshold_forest
+from .recognition import (
+    QtForest,
+    forest_from_parents,
+    qt_forest_graph,
+    qt_forest_postorder,
+    quasi_threshold_forest,
+)
 from .results import CliqueBipartition, CompletionResult
 
 _WITNESS_CAP = 64
@@ -160,23 +166,29 @@ def _backtrack(f: QtForest, tables: DpTables, j_star: int) -> tuple[tuple[int, .
     return s1, s2
 
 
-def qt_cobipartite_completion(g: Graph) -> CompletionResult:
+def qt_cobipartite_completion(g: Graph, forest: QtForest | None = None) -> CompletionResult:
     """Minimum co-bipartite completion with an explicit clique bipartition.
 
+    Computes the rooted forest if not supplied; a supplied one must rebuild g.
     The cost is a lower bound for the minimum proper-interval completion; the
     result is labeled accordingly.  Ties resolve to the smallest side-1 size.
     """
-    forest = quasi_threshold_forest(g)
     if forest is None:
-        witness = forbidden_subgraph_scan(g, "quasi-threshold") if g.n <= _WITNESS_CAP else None
-        raise ClassMembershipError("quasi-threshold", witness)
+        forest = quasi_threshold_forest(g)
+        if forest is None:
+            witness = forbidden_subgraph_scan(g, "quasi-threshold") if g.n <= _WITNESS_CAP else None
+            raise ClassMembershipError("quasi-threshold", witness)
+    elif forest != forest_from_parents(list(forest.parent)) or qt_forest_graph(forest) != g:
+        raise GraphInputError("quasi-threshold forest does not rebuild the input graph")
     tables = build_dp_tables(forest)
     cost = min(tables.root_row)
     j_star = tables.root_row.index(cost)
     s1, s2 = _backtrack(forest, tables, j_star)
-    assert len(s1) == j_star, "backtracked side size disagrees with the argmin"
+    if len(s1) != j_star:
+        raise AssertionError("backtracked side size disagrees with the argmin")
     fill = non_edges_within(g, s1) | non_edges_within(g, s2)
-    assert len(fill) == cost, "DP cost disagrees with the materialized fill"
+    if len(fill) != cost:
+        raise AssertionError("DP cost disagrees with the materialized fill")
     return CompletionResult(
         frozenset(fill),
         cost,

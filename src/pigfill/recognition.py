@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import GraphInputError
 from .graph import Graph, build_graph
 
 ISOLATED = "i"
@@ -371,17 +372,25 @@ class QtForest:
 
 
 def forest_from_parents(parents: list[int | None]) -> QtForest:
-    """Assemble a QtForest (with size caches) from a parent array."""
+    """Assemble a QtForest (with size caches) from a parent array.
+
+    Raises GraphInputError when a parent is out of range or the parent links
+    form a cycle.
+    """
     n = len(parents)
     children: list[list[int]] = [[] for _ in range(n)]
     roots = []
     for v, p in enumerate(parents):
         if p is None:
             roots.append(v)
-        else:
+        elif 0 <= p < n:
             children[p].append(v)
+        else:
+            raise GraphInputError(f"parent {p} of vertex {v} out of range for n={n}")
     size = [1] * n
     order = _forest_postorder(children, roots)
+    if len(order) != n:
+        raise GraphInputError("parent array has a cycle")
     for v in order:
         for c in children[v]:
             size[v] += size[c]
@@ -595,35 +604,3 @@ def split_partition(g: Graph) -> SplitPartition | None:
                 moved = True
                 break
     return SplitPartition(tuple(sorted(clique)), tuple(sorted(indep)))
-
-
-# ---------------------------------------------------------------------------
-# combined report
-
-
-CLASS_ORDER = ("threshold", "caterpillar", "quasi-threshold", "split", "proper-interval")
-
-
-def recognize_all(g: Graph) -> dict:
-    """All class verdicts plus certificates, as one report."""
-    seq = threshold_creation_sequence(g)
-    forest = quasi_threshold_forest(g)
-    decomp = caterpillar_decomposition(g)
-    split = split_partition(g)
-    pig = is_proper_interval(g)
-    found = {
-        "threshold": seq,
-        "quasi-threshold": forest,
-        "caterpillar": decomp,
-        "split": split,
-        "proper-interval": pig if pig.is_pig else None,
-    }
-    most_specific = next((c for c in CLASS_ORDER if found[c] is not None), "none")
-    return {
-        "threshold": seq,
-        "quasi_threshold": forest,
-        "caterpillar": decomp,
-        "split": split,
-        "proper_interval": pig,
-        "most_specific": most_specific,
-    }

@@ -100,7 +100,8 @@ def threshold_pig_completion(
     if cost_only:
         return CompletionResult(None, run.cost, cert, "threshold")
     fill = non_edges_within(g, s1) | non_edges_within(g, s2)
-    assert len(fill) == run.cost, "incremental cost disagrees with materialized fill"
+    if len(fill) != run.cost:
+        raise AssertionError("incremental cost disagrees with materialized fill")
     return CompletionResult(frozenset(fill), run.cost, cert, "threshold")
 
 

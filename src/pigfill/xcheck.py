@@ -304,7 +304,7 @@ def xcheck_recognition(max_n: int = 6) -> list[CheckRow]:
 
 
 # ---------------------------------------------------------------------------
-# dispatch + least squares
+# dispatch
 
 
 SUITES = {
@@ -316,25 +316,11 @@ SUITES = {
 
 
 def run_xcheck(klass: str, max_n: int | None = None) -> list[CheckRow]:
-    if klass == "all":
-        rows = []
-        for name, fn in SUITES.items():
-            rows.extend(fn() if max_n is None else fn(max_n))
-        return rows
-    if klass not in SUITES:
+    if klass != "all" and klass not in SUITES:
         raise ValueError(f"unknown xcheck class {klass!r}; choose from {sorted(SUITES)} or 'all'")
-    fn = SUITES[klass]
-    return fn() if max_n is None else fn(max_n)
+    rows = []
+    for name, fn in SUITES.items():
+        if klass in ("all", name):
+            rows.extend(fn() if max_n is None else fn(max_n))
+    return rows
 
-
-def fit_log_slope(ns: list[int], ys: list[int]) -> float:
-    """Least-squares slope of log(y) against log(n)."""
-    from math import log
-
-    xs = [log(v) for v in ns]
-    ws = [log(v) for v in ys]
-    xbar = sum(xs) / len(xs)
-    wbar = sum(ws) / len(ws)
-    num = sum((x - xbar) * (w - wbar) for x, w in zip(xs, ws))
-    den = sum((x - xbar) ** 2 for x in xs)
-    return num / den

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from math import log
 
 import pytest
 
@@ -27,7 +28,6 @@ from pigfill import (
 from pigfill.caterpillar import build_placement_tables
 from pigfill.quasithreshold import build_dp_tables
 from pigfill.xcheck import (
-    fit_log_slope,
     xcheck_caterpillar,
     xcheck_quasithreshold,
     xcheck_recognition,
@@ -130,6 +130,17 @@ def test_criterion_6_caterpillar_exactness(caterpillar_rows):
         f"{exactness.instances} instances (exhaustive n<=8 + 100 random n<=10), "
         f"{exactness.failures + validity.failures + reversal.failures} failures",
     )
+
+
+def fit_log_slope(ns: list[int], ys: list[int]) -> float:
+    """Least-squares slope of log(y) against log(n)."""
+    xs = [log(v) for v in ns]
+    ws = [log(v) for v in ys]
+    xbar = sum(xs) / len(xs)
+    wbar = sum(ws) / len(ws)
+    num = sum((x - xbar) * (w - wbar) for x, w in zip(xs, ws))
+    den = sum((x - xbar) ** 2 for x in xs)
+    return num / den
 
 
 def test_criterion_7_complexity_counters():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from pigfill import (
+    CaterpillarDecomposition,
     ClassMembershipError,
     GraphInputError,
     PointPlacement,
@@ -77,6 +78,20 @@ class TestCompletion:
     def test_non_caterpillar_rejected(self, c4):
         with pytest.raises(ClassMembershipError):
             caterpillar_pig_completion(c4)
+
+    def test_supplied_decomposition_used(self):
+        g, d = caterpillar_from_buckets([2, 0, 3])
+        assert caterpillar_pig_completion(g, d) == caterpillar_pig_completion(g)
+
+    def test_supplied_decomposition_validated(self, p4):
+        _, other = caterpillar_from_buckets([1, 1])  # the path 2-0-1-3
+        with pytest.raises(GraphInputError):
+            caterpillar_pig_completion(p4, other)
+
+    def test_malformed_decomposition_rejected(self):
+        g = build_graph(3, [(0, 1)])
+        with pytest.raises(GraphInputError):
+            caterpillar_pig_completion(g, CaterpillarDecomposition((0, 1, 0), ((), (), ())))
 
 
 class TestMaterialize:

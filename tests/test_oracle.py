@@ -45,14 +45,6 @@ class TestBruteMinPig:
         with pytest.raises(OracleBudgetError):
             brute_min_pig(claw, OracleBudget(max_vertices=8, max_fill=0))
 
-    def test_parallel_matches_serial(self, claw, star5, c4):
-        for g in (claw, star5, c4):
-            assert brute_min_pig(g, threads=3) == brute_min_pig(g)
-
-    @given(graphs(max_n=6), st.integers(min_value=2, max_value=4))
-    def test_parallel_deterministic(self, g, threads):
-        assert brute_min_pig(g, threads=threads) == brute_min_pig(g)
-
 
 class TestBruteMinCobipartite:
     def test_k2_trivial(self):

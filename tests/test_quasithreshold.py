@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from pigfill import (
     ClassMembershipError,
+    GraphInputError,
     brute_min_cobipartite,
     build_dp_tables,
     build_graph,
@@ -82,6 +85,23 @@ class TestCompletion:
         with pytest.raises(ClassMembershipError) as err:
             qt_cobipartite_completion(c4)
         assert err.value.witness[0] == "C4"
+
+    def test_supplied_forest_used(self, claw):
+        forest = quasi_threshold_forest(claw)
+        assert qt_cobipartite_completion(claw, forest) == qt_cobipartite_completion(claw)
+
+    def test_supplied_forest_validated(self, claw, k4):
+        with pytest.raises(GraphInputError):
+            qt_cobipartite_completion(k4, quasi_threshold_forest(claw))
+
+    def test_inconsistent_forest_caches_rejected(self, claw):
+        forest = quasi_threshold_forest(claw)
+        with pytest.raises(GraphInputError):
+            qt_cobipartite_completion(claw, replace(forest, subtree_size=(1, 1, 1, 1)))
+
+    def test_cyclic_parents_rejected(self):
+        with pytest.raises(GraphInputError):
+            forest_from_parents([1, 0])
 
     def test_exactness_small_forests(self):
         from pigfill import enumerate_rooted_forests, qt_forest_graph

@@ -11,7 +11,6 @@ from pigfill import (
     is_proper_interval,
     qt_forest_graph,
     quasi_threshold_forest,
-    recognize_all,
     replay_creation_sequence,
     split_partition,
     threshold_creation_sequence,
@@ -184,15 +183,3 @@ class TestPigAgreementSampledAt7:
             g = build_graph(7, [p for i, p in enumerate(pairs) if mask >> i & 1])
             assert is_proper_interval(g).is_pig == (forbidden_subgraph_scan(g, "pig") is None)
 
-
-class TestRecognizeAll:
-    def test_p4_report(self, p4):
-        report = recognize_all(p4)
-        assert report["threshold"] is None
-        assert report["quasi_threshold"] is None
-        assert report["caterpillar"] is not None
-        assert report["proper_interval"].is_pig
-        assert report["most_specific"] == "caterpillar"
-
-    def test_most_specific_prefers_threshold(self, claw):
-        assert recognize_all(claw)["most_specific"] == "threshold"
