@@ -66,7 +66,8 @@ def build_placement_tables(d: CaterpillarDecomposition) -> PlacementTables:
         val = comb(j, 2) + rows[0][j]
         if answer is None or val < answer:
             answer, best_j0 = val, j
-    assert answer is not None
+    if answer is None:
+        raise AssertionError("placement DP found no start count")
     return PlacementTables(tuple(rows), choice, answer, best_j0, evals)
 
 

@@ -179,7 +179,8 @@ def gen_split(n: int, seed: int = 0) -> tuple[Graph, SplitPartition]:
         edges.extend((u, w) for u in range(c) if mask >> u & 1)
     g = build_graph(n, edges)
     part = split_partition(g)
-    assert part is not None
+    if part is None:
+        raise AssertionError("generated split graph has no split partition")
     return g, part
 
 

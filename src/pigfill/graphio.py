@@ -3,8 +3,9 @@
 Native edge-list format: ``#`` comment lines, then a line with the vertex
 count, then one ``u v`` line per edge (0-indexed).  DIMACS-like input
 (``p edge n m`` header, ``e u v`` lines, 1-indexed) is auto-detected by the
-``p `` prefix.  Serialization always emits the edge-list format with edges
-sorted, so parse(serialize(g)) == g.
+``p `` prefix; ``m`` must equal the number of ``e`` lines.  Serialization
+always emits the edge-list format with edges sorted, so
+parse(serialize(g)) == g.
 """
 
 from __future__ import annotations
@@ -42,19 +43,25 @@ def _parse_edge_list(data: list[str]) -> Graph:
 
 
 def _parse_dimacs(data: list[str]) -> Graph:
-    n = None
+    n = m = None
     edges = []
     for ln in data:
         parts = ln.split()
         if parts[0] == "c":
             continue
         if parts[0] == "p":
-            if len(parts) < 3:
-                raise GraphInputError(f"bad DIMACS problem line {ln!r}")
+            if n is not None:
+                raise GraphInputError(f"second DIMACS problem line {ln!r}")
+            if len(parts) != 4:
+                raise GraphInputError(f"bad DIMACS problem line {ln!r}; expected 'p edge n m'")
             try:
                 n = int(parts[2])
             except ValueError:
                 raise GraphInputError(f"bad vertex count in {ln!r}") from None
+            try:
+                m = int(parts[3])
+            except ValueError:
+                raise GraphInputError(f"bad edge count in {ln!r}") from None
         elif parts[0] == "e":
             if n is None:
                 raise GraphInputError("DIMACS edge line before problem line")
@@ -69,6 +76,8 @@ def _parse_dimacs(data: list[str]) -> Graph:
             raise GraphInputError(f"unrecognized DIMACS line {ln!r}")
     if n is None:
         raise GraphInputError("missing DIMACS problem line")
+    if len(edges) != m:
+        raise GraphInputError(f"DIMACS problem line announces {m} edges, found {len(edges)} 'e' lines")
     return build_graph(n, edges)
 
 

@@ -2,8 +2,9 @@
 
 Each recognizer returns a structural certificate (creation sequence, rooted
 forest, spine decomposition, split partition) that the completion algorithms
-consume directly, or ``None`` when the graph is not in the class.  All
-tie-breaking is by smallest vertex id so certificates are deterministic.
+consume directly, or ``None`` when the graph is not in the class.  Ties are
+broken by smallest vertex id (the later LexBFS sweeps of the proper-interval
+test by the previous sweep's order), so certificates are deterministic.
 """
 
 from __future__ import annotations
@@ -23,16 +24,18 @@ DOMINATING = "d"
 
 @dataclass(frozen=True)
 class PigVerdict:
-    """Outcome of a proper-interval test; carries a witness on failure.
+    """Outcome of a proper-interval test; carries a certificate either way.
 
-    ``witness_kind`` is one of ``claw``, ``net``, ``tent`` or
-    ``chordless-cycle``; ``witness`` lists the vertices involved (in cycle
-    order for cycles).
+    On failure ``witness_kind`` is one of ``claw``, ``net``, ``tent`` or
+    ``chordless-cycle`` and ``witness`` lists the vertices involved (in cycle
+    order for cycles).  On success ``order`` is an umbrella order: every
+    closed neighbourhood is a run of consecutive vertices in it.
     """
 
     is_pig: bool
     witness_kind: str | None = None
     witness: tuple[int, ...] | None = None
+    order: tuple[int, ...] | None = None
 
     def __bool__(self) -> bool:
         return self.is_pig
@@ -246,12 +249,124 @@ def pig_mask_check(masks, n: int) -> bool:
     return _find_tent(masks, n) is None
 
 
+def _lbfs(masks, n: int) -> list[int]:
+    """One LexBFS sweep over rows in rank space; ties go to the smallest rank.
+
+    Partition refinement on bitmask blocks: ``blocks`` holds the reached but
+    unvisited vertices as classes of equal label, the class to visit next
+    last, and ``rest`` the vertices whose label is still empty.
+    """
+    order: list[int] = []
+    rest = (1 << n) - 1
+    labelled = 0
+    blocks: list[int] = []
+    for _ in range(n):
+        if blocks:
+            b = blocks[-1]
+            low = b & -b
+            if b == low:
+                blocks.pop()
+            else:
+                blocks[-1] = b ^ low
+            labelled ^= low
+        else:
+            low = rest & -rest
+            rest ^= low
+        v = low.bit_length() - 1
+        order.append(v)
+        nb = masks[v]
+        hit = nb & labelled
+        i = len(blocks) - 1
+        while hit:
+            b = blocks[i]
+            inside = b & hit
+            if inside:
+                hit ^= inside
+                if inside != b:
+                    blocks[i] = b ^ inside
+                    blocks.insert(i + 1, inside)
+            i -= 1
+        new = nb & rest
+        if new:
+            rest ^= new
+            labelled |= new
+            blocks.insert(0, new)
+    return order
+
+
+def _rank_masks(neighbors, order) -> list[int]:
+    """Rows of ``order[0], order[1], ...`` with bit i standing for ``order[i]``."""
+    bit = [0] * len(order)
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    return [sum(map(bit.__getitem__, neighbors[v])) for v in order]
+
+
+def _is_peo(masks, n: int) -> bool:
+    """True iff 0, 1, ..., n-1 is a perfect elimination order of the rows."""
+    above = 0
+    for v in range(n - 1, -1, -1):
+        later = masks[v] & above
+        above |= 1 << v
+        if later:
+            low = later & -later
+            others = later ^ low
+            if others & masks[low.bit_length() - 1] != others:
+                return False
+    return True
+
+
+def _three_sweep_order(g: Graph) -> tuple[int, ...] | None:
+    """Corneil's 3-sweep LexBFS order, or None when g is not chordal.
+
+    sigma1 breaks ties by smallest id, sigma2 = LBFS+(sigma1) and
+    sigma3 = LBFS+(sigma2), where LBFS+ breaks ties towards the vertex that
+    came latest in the previous sweep.  sigma3 is an umbrella order whenever
+    g is a proper interval graph; callers still check that it is one.
+    """
+    n, neighbors = g.n, g.neighbors
+    sigma = _lbfs(g.masks, n)  # rank space of sigma1 is the ids
+    for sweep in range(2):
+        prev = sigma[::-1]  # rank 0 is the vertex that came latest
+        masks = _rank_masks(neighbors, prev)
+        # rank order is reversed sigma1, a perfect elimination order iff g is chordal
+        if sweep == 0 and not _is_peo(masks, n):
+            return None
+        sigma = [prev[r] for r in _lbfs(masks, n)]
+    return tuple(sigma)
+
+
+def _is_umbrella(neighbors, order) -> bool:
+    """True iff every closed neighbourhood is consecutive in ``order``."""
+    bit = 1
+    for row in _rank_masks(neighbors, order):
+        closed = row | bit
+        if (closed + (closed & -closed)) & closed:
+            return False
+        bit <<= 1
+    return True
+
+
 def is_proper_interval(g: Graph) -> PigVerdict:
-    """Proper-interval test: chordal and free of induced claw, net and tent."""
+    """Proper-interval test with a certificate for either answer.
+
+    A claw scan runs first.  A claw-free graph gets the 3-sweep LexBFS order
+    of Corneil (*A simple 3-sweep LBFS algorithm for the recognition of unit
+    interval graphs*, Discrete Appl. Math. 138, 2004); it is accepted iff
+    every closed neighbourhood is consecutive in that order, the umbrella
+    characterisation of Looges and Olariu (*Optimal greedy algorithms for
+    indifference graphs*, Comput. Math. Appl. 25, 1993).  The order is
+    returned as the certificate.  A rejected graph gets a witness from the
+    forbidden-subgraph characterisation (chordal and free of induced claw,
+    net and tent): a chordless cycle, then a net, then a tent.
+    """
     masks, n = g.masks, g.n
     claw = _find_claw(masks, n)
     if claw is not None:
         return PigVerdict(False, "claw", claw)
+    order = _three_sweep_order(g)
+    if order is not None and _is_umbrella(g.neighbors, order):
+        return PigVerdict(True, order=order)
     violation = _peo_violation(masks, n)
     if violation is not None:
         cycle = _find_chordless_cycle(masks, n, hint=violation)
@@ -264,7 +379,9 @@ def is_proper_interval(g: Graph) -> PigVerdict:
     tent = _find_tent(masks, n)
     if tent is not None:
         return PigVerdict(False, "tent", tent)
-    return PigVerdict(True)
+    raise AssertionError(
+        "the 3-sweep order is not an umbrella order, yet no claw, net, tent or chordless cycle was found"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,8 @@ def xcheck_quasithreshold(
                 res.cost == cobip_cost and min(tables.root_row) == cobip_cost,
                 f"n={n} {res.cost}!={cobip_cost}",
             )
-            assert tables.cells is not None
+            if tables.cells is None:
+                raise AssertionError("build_dp_tables(keep_cells=True) kept no cells")
             symmetry.count(all(row == row[::-1] for row in tables.cells.values()), f"n={n}")
             cert = res.certificate
             rec_tables = build_dp_tables(quasi_threshold_forest(g))
@@ -183,7 +184,8 @@ def _compositions(total: int, parts: int):
 
 def _canonical_caterpillar_key(g: Graph) -> tuple[int, ...]:
     d = caterpillar_decomposition(g)
-    assert d is not None
+    if d is None:
+        raise AssertionError("enumerated caterpillar has no decomposition")
     sizes = d.bucket_sizes
     return min(sizes, sizes[::-1])
 

@@ -281,6 +281,12 @@ class TestErrorsAndXcheck:
         path.write_text("zork\n")
         assert main(["recognize", str(path)]) == 2
 
+    @pytest.mark.parametrize("header", ["p edge 4 x", "p edge 4 5"])
+    def test_dimacs_edge_count_exit_2(self, capsys, tmp_path, header):
+        path = tmp_path / "c4.col"
+        path.write_text(C4_DIMACS.replace("p edge 4 4", header))
+        assert main(["recognize", str(path)]) == 2
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["recognize", "/nonexistent/file.txt"]) == 2
 

@@ -161,6 +161,20 @@ class TestSerialization:
         g = parse_graph("c header\np edge 4 2\ne 1 2\ne 3 4\n")
         assert g.n == 4 and g.edges() == [(0, 1), (2, 3)]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p edge 4 two\ne 1 2\ne 3 4\n",  # non-integer edge count
+            "p edge 4 3\ne 1 2\ne 3 4\n",  # announces more edges than given
+            "p edge 4 1\ne 1 2\ne 3 4\n",  # announces fewer
+            "p edge 4\ne 1 2\n",  # no edge count
+            "p edge 2 1\ne 1 2\np edge 5 1\n",  # a second problem line
+        ],
+    )
+    def test_dimacs_edge_count_checked(self, text):
+        with pytest.raises(GraphInputError):
+            parse_graph(text)
+
     def test_parse_errors(self):
         with pytest.raises(GraphInputError):
             parse_graph("")

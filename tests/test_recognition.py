@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import time
+from itertools import combinations
+
 import pytest
 
 from pigfill import (
+    apply_fill,
     build_graph,
+    caterpillar_pig_completion,
     caterpillar_decomposition,
     caterpillar_graph,
     enumerate_threshold,
@@ -15,6 +20,51 @@ from pigfill import (
     split_partition,
     threshold_creation_sequence,
 )
+from pigfill import recognition
+from pigfill.generators import gen_caterpillar
+
+# Independent checkers for the recognizer's certificates; they read the graph
+# through has_edge only.
+
+
+def assert_umbrella_order(g, order):
+    """order is a permutation of V and every closed neighbourhood is consecutive in it."""
+    assert sorted(order) == list(range(g.n))
+    for v in g.vertices():
+        spots = [i for i, w in enumerate(order) if w == v or g.has_edge(v, w)]
+        assert spots == list(range(spots[0], spots[-1] + 1)), (v, order)
+
+
+def _pattern_edges(kind, k):
+    """Edges of the named subgraph on 0..k-1, in the order the recognizer lists it."""
+    if kind == "chordless-cycle":
+        return {(i, (i + 1) % k) for i in range(k)}
+    triangle = {(0, 1), (0, 2), (1, 2)}
+    return {
+        "claw": {(0, 1), (0, 2), (0, 3)},  # center, then three leaves
+        "net": triangle | {(0, 3), (1, 4), (2, 5)},  # triangle, then a pendant per corner
+        # triangle, then one vertex per side ab, bc, ac
+        "tent": triangle | {(0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)},
+    }[kind]
+
+
+def assert_forbidden_witness(g, kind, witness):
+    """witness induces the subgraph named by kind."""
+    k = len(witness)
+    assert len(set(witness)) == k
+    if kind == "chordless-cycle":
+        assert k >= 4
+    else:
+        assert k == {"claw": 4, "net": 6, "tent": 6}[kind]
+    want = {frozenset(p) for p in _pattern_edges(kind, k)}
+    for i, j in combinations(range(k), 2):
+        assert g.has_edge(witness[i], witness[j]) == (frozenset((i, j)) in want), (kind, witness)
+
+
+def _all_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 class TestProperInterval:
@@ -49,8 +99,39 @@ class TestProperInterval:
         assert is_proper_interval(tent).witness_kind == "tent"
 
     def test_trivial_cases(self):
-        assert is_proper_interval(build_graph(0, [])).is_pig
-        assert is_proper_interval(build_graph(1, [])).is_pig
+        assert is_proper_interval(build_graph(0, [])).order == ()
+        assert is_proper_interval(build_graph(1, [])).order == (0,)
+
+    def test_certificates_exhaustive_to_6(self):
+        kinds = set()
+        for n in range(1, 7):
+            for g in _all_graphs(n):
+                verdict = is_proper_interval(g)
+                if verdict.is_pig:
+                    assert verdict.witness is None
+                    assert_umbrella_order(g, verdict.order)
+                else:
+                    assert verdict.order is None
+                    assert_forbidden_witness(g, verdict.witness_kind, verdict.witness)
+                    kinds.add(verdict.witness_kind)
+        assert kinds == {"claw", "net", "tent", "chordless-cycle"}
+
+    def test_completed_caterpillar_at_10k_is_fast(self):
+        g, d = gen_caterpillar(5000, 2, seed=3)
+        h = apply_fill(g, caterpillar_pig_completion(g, d).fill)
+        assert h.n > 9000
+        start = time.perf_counter()
+        verdict = is_proper_interval(h)
+        elapsed = time.perf_counter() - start
+        assert verdict.is_pig and len(verdict.order) == h.n
+        assert elapsed < 5.0, f"{elapsed:.1f} s"
+
+    def test_bad_sweep_order_raises(self, p4, monkeypatch):
+        # (0, 2, 1, 3) splits N[0] = {0, 1}; p4 has no witness, so the
+        # recognizer must fail loudly rather than accept without a certificate
+        monkeypatch.setattr(recognition, "_three_sweep_order", lambda g: (0, 2, 1, 3))
+        with pytest.raises(AssertionError, match="umbrella"):
+            is_proper_interval(p4)
 
 
 class TestThresholdRecognizer:
@@ -181,5 +262,8 @@ class TestPigAgreementSampledAt7:
         for _ in range(4000):
             mask = rng.randrange(1 << len(pairs))
             g = build_graph(7, [p for i, p in enumerate(pairs) if mask >> i & 1])
-            assert is_proper_interval(g).is_pig == (forbidden_subgraph_scan(g, "pig") is None)
+            verdict = is_proper_interval(g)
+            assert verdict.is_pig == (forbidden_subgraph_scan(g, "pig") is None)
+            if verdict.is_pig:
+                assert_umbrella_order(g, verdict.order)
 
