@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 
 from .caterpillar import caterpillar_pig_completion
 from .errors import ClassMembershipError, GraphInputError, OracleBudgetError
@@ -256,19 +257,31 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _read_fill(path: str) -> list[tuple[int, int]]:
+    """Fill pairs from a JSON file: a ``[[u, v], ...]`` list or an envelope's ``fill_edges``."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if isinstance(data, dict):
+        if "fill_edges" not in data:
+            raise GraphInputError("fill file object has no 'fill_edges' key")
+        data = data["fill_edges"]
+    # bool is an int subclass, and int() would truncate floats such as 1.9
+    if not isinstance(data, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair) for pair in data
+    ):
+        raise GraphInputError("fill file must hold [[u, v], ...] pairs of integers")
+    return [edge(u, v) for u, v in data]
+
+
 def _cmd_verify(args) -> int:
     g = _read_graph(args.graph)
-    with open(args.fill, encoding="utf-8") as fh:
-        data = json.load(fh)
-    raw = data["fill_edges"] if isinstance(data, dict) else data
-    try:
-        fill = [edge(int(u), int(v)) for u, v in raw]
-    except (TypeError, ValueError):
-        raise GraphInputError("fill file must hold [[u, v], ...] pairs") from None
+    fill = _read_fill(args.fill)
     problems = []
-    for u, v in fill:
+    for (u, v), times in Counter(fill).items():
         if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
             raise GraphInputError(f"fill edge ({u}, {v}) out of range")
+        if times > 1:
+            problems.append(f"({u}, {v}) is listed {times} times")
         if g.has_edge(u, v):
             problems.append(f"({u}, {v}) is already an edge")
     verdict = None

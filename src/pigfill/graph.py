@@ -1,6 +1,9 @@
-"""Immutable undirected simple graphs with adjacency sets and bitmask rows.
+"""Immutable undirected simple graphs: sorted adjacency tuples, bitmask rows on demand.
 
-Vertices are the integers ``0..n-1``.  Every operation returns a new value;
+Vertices are the integers ``0..n-1``.  A graph is its sorted neighbour tuples;
+the n-bit bitmask rows that the small-n scans use are built on first read of
+``Graph.masks`` and cached, so sparse inputs never pay O(n^2) bits unless a
+mask-based routine runs on them.  Every operation returns a new value;
 nothing here mutates.  Edge sets are plain ``frozenset``s of ``(u, v)`` pairs
 in canonical ``u < v`` form, sorted lexicographically whenever they are
 serialized or printed.
@@ -8,7 +11,9 @@ serialized or printed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import GraphInputError
@@ -30,14 +35,19 @@ def sorted_edges(edges: Iterable[Edge]) -> list[Edge]:
 class Graph:
     """Undirected simple graph.
 
-    ``neighbors[v]`` is the sorted tuple of neighbors of ``v`` and ``masks[v]``
-    the same set as a bitmask.  Adjacency is symmetric and loop-free by
-    construction.
+    ``neighbors[v]`` is the sorted tuple of neighbors of ``v``.  Adjacency is
+    symmetric and loop-free by construction.  ``masks`` is derived from
+    ``neighbors`` and not a field, so equality and hashing ignore whether it
+    has been built.
     """
 
     n: int
     neighbors: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...]
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """``masks[v]`` is ``neighbors[v]`` as a bitmask; built on first read."""
+        return tuple(sum(1 << w for w in nb) for nb in self.neighbors)
 
     @property
     def m(self) -> int:
@@ -47,7 +57,9 @@ class Graph:
         return len(self.neighbors[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.masks[u] >> v & 1)
+        row = self.neighbors[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def edges(self) -> list[Edge]:
         return [(u, v) for u in range(self.n) for v in self.neighbors[u] if u < v]
@@ -60,9 +72,7 @@ class Graph:
 
 
 def _finish(n: int, adj: list[set[int]]) -> Graph:
-    neighbors = tuple(tuple(sorted(s)) for s in adj)
-    masks = tuple(sum(1 << w for w in nb) for nb in neighbors)
-    return Graph(n, neighbors, masks)
+    return Graph(n, tuple(tuple(sorted(s)) for s in adj))
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -84,7 +94,10 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def graph_from_masks(masks: list[int]) -> Graph:
-    """Build a graph directly from adjacency bitmasks (symmetry is trusted-but-verified)."""
+    """Build a graph directly from adjacency bitmasks (symmetry is trusted-but-verified).
+
+    The given rows become the graph's cached ``masks``.
+    """
     n = len(masks)
     neighbors = []
     for v, m in enumerate(masks):
@@ -98,11 +111,12 @@ def graph_from_masks(masks: list[int]) -> Graph:
             row.append(low.bit_length() - 1)
             m ^= low
         neighbors.append(tuple(row))
-    g = Graph(n, tuple(neighbors), tuple(masks))
     for v in range(n):
-        for w in g.neighbors[v]:
-            if not g.masks[w] >> v & 1:
+        for w in neighbors[v]:
+            if not masks[w] >> v & 1:
                 raise GraphInputError(f"asymmetric adjacency between {v} and {w}")
+    g = Graph(n, tuple(neighbors))
+    g.__dict__["masks"] = tuple(masks)
     return g
 
 

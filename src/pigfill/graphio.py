@@ -3,15 +3,23 @@
 Native edge-list format: ``#`` comment lines, then a line with the vertex
 count, then one ``u v`` line per edge (0-indexed).  DIMACS-like input
 (``p edge n m`` header, ``e u v`` lines, 1-indexed) is auto-detected by the
-``p `` prefix; ``m`` must equal the number of ``e`` lines.  Serialization
-always emits the edge-list format with edges sorted, so
-parse(serialize(g)) == g.
+``p `` prefix; ``m`` must equal the number of ``e`` lines.  A vertex count
+above ``MAX_VERTICES`` is refused with ``GraphInputError`` before anything
+is allocated for it.  Serialization always emits the edge-list format with
+edges sorted, so parse(serialize(g)) == g.
 """
 
 from __future__ import annotations
 
 from .errors import GraphInputError
 from .graph import Graph, build_graph
+
+MAX_VERTICES = 10**6  # parsing allocates one set per vertex; 50x the largest perfbench input
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise GraphInputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
 def parse_graph(text: str) -> Graph:
@@ -30,6 +38,7 @@ def _parse_edge_list(data: list[str]) -> Graph:
         n = int(data[0])
     except ValueError:
         raise GraphInputError(f"expected vertex count on first data line, got {data[0]!r}") from None
+    _check_vertex_count(n)
     edges = []
     for ln in data[1:]:
         parts = ln.split()
@@ -62,6 +71,7 @@ def _parse_dimacs(data: list[str]) -> Graph:
                 m = int(parts[3])
             except ValueError:
                 raise GraphInputError(f"bad edge count in {ln!r}") from None
+            _check_vertex_count(n)
         elif parts[0] == "e":
             if n is None:
                 raise GraphInputError("DIMACS edge line before problem line")

@@ -194,24 +194,24 @@ FAMILIES = {
 }
 
 
-def _subset_mask4(g: Graph, quad: tuple[int, ...]) -> int:
+def _subset_mask4(masks: tuple[int, ...], quad: tuple[int, ...]) -> int:
     mask = 0
     for i, (a, b) in enumerate(_PAIRS4):
-        if g.has_edge(quad[a], quad[b]):
+        if masks[quad[a]] >> quad[b] & 1:
             mask |= 1 << i
     return mask
 
 
-def _induced_cycle(g: Graph, subset: tuple[int, ...]) -> bool:
+def _induced_cycle(masks: tuple[int, ...], subset: tuple[int, ...]) -> bool:
     smask = sum(1 << v for v in subset)
     for v in subset:
-        if (g.masks[v] & smask).bit_count() != 2:
+        if (masks[v] & smask).bit_count() != 2:
             return False
     seen = 1 << subset[0]
     frontier = [subset[0]]
     while frontier:
         v = frontier.pop()
-        mm = g.masks[v] & smask & ~seen
+        mm = masks[v] & smask & ~seen
         while mm:
             low = mm & -mm
             seen |= low
@@ -220,24 +220,24 @@ def _induced_cycle(g: Graph, subset: tuple[int, ...]) -> bool:
     return seen == smask
 
 
-def _net_or_tent(g: Graph, subset: tuple[int, ...]) -> str | None:
+def _net_or_tent(masks: tuple[int, ...], subset: tuple[int, ...]) -> str | None:
     smask = sum(1 << v for v in subset)
-    degs = sorted((g.masks[v] & smask).bit_count() for v in subset)
+    degs = sorted((masks[v] & smask).bit_count() for v in subset)
     if degs == [1, 1, 1, 3, 3, 3]:
         want_triangle, want_other, kind = 3, 1, "net"
     elif degs == [2, 2, 2, 4, 4, 4]:
         want_triangle, want_other, kind = 4, 2, "tent"
     else:
         return None
-    tri = [v for v in subset if (g.masks[v] & smask).bit_count() == want_triangle]
-    rest = [v for v in subset if (g.masks[v] & smask).bit_count() == want_other]
+    tri = [v for v in subset if (masks[v] & smask).bit_count() == want_triangle]
+    rest = [v for v in subset if (masks[v] & smask).bit_count() == want_other]
     for a, b in combinations(tri, 2):
-        if not g.has_edge(a, b):
+        if not masks[a] >> b & 1:
             return None
     for a, b in combinations(rest, 2):
-        if g.has_edge(a, b):
+        if masks[a] >> b & 1:
             return None
-    attach = [tuple(sorted(t for t in tri if g.has_edge(w, t))) for w in rest]
+    attach = [tuple(sorted(t for t in tri if masks[w] >> t & 1)) for w in rest]
     if kind == "net":
         if sorted(len(a) for a in attach) != [1, 1, 1] or len(set(attach)) != 3:
             return None
@@ -258,24 +258,25 @@ def forbidden_subgraph_scan(g: Graph, family: str) -> tuple[str, tuple[int, ...]
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
     wanted = FAMILIES[family]
     n = g.n
+    masks = g.masks
     if family in ("threshold", "quasi-threshold"):
         for quad in combinations(range(n), 4):
-            kind = _CLASS4.get(_subset_mask4(g, quad))
+            kind = _CLASS4.get(_subset_mask4(masks, quad))
             if kind in wanted:
                 return kind, quad
         return None
     if family == "split":
         for quad in combinations(range(n), 4):
-            kind = _CLASS4.get(_subset_mask4(g, quad))
+            kind = _CLASS4.get(_subset_mask4(masks, quad))
             if kind in ("2K2", "C4"):
                 return kind, quad
         for five in combinations(range(n), 5):
-            if _induced_cycle(g, five):
+            if _induced_cycle(masks, five):
                 return "C5", five
         return None
     # pig
     for quad in combinations(range(n), 4):
-        kind = _CLASS4.get(_subset_mask4(g, quad))
+        kind = _CLASS4.get(_subset_mask4(masks, quad))
         if kind == "claw":
             return "claw", quad
         if kind == "C4":
@@ -283,9 +284,9 @@ def forbidden_subgraph_scan(g: Graph, family: str) -> tuple[str, tuple[int, ...]
     for size in range(5, n + 1):
         for subset in combinations(range(n), size):
             if size == 6:
-                kind = _net_or_tent(g, subset)
+                kind = _net_or_tent(masks, subset)
                 if kind is not None:
                     return kind, subset
-            if _induced_cycle(g, subset):
+            if _induced_cycle(masks, subset):
                 return "chordless-cycle", subset
     return None

@@ -430,38 +430,33 @@ def threshold_creation_sequence(g: Graph) -> CreationSequence | None:
     Peels a currently-universal vertex when one exists (else a currently
     isolated one), smallest id first, and reverses the peel order.  A final
     lone vertex peels as isolated, so sequences start with an ``i`` tag.
+
+    Runs in O(n + m) on degree buckets.  A peeled dominating vertex was
+    adjacent to every remaining vertex and a peeled isolated one to none, so
+    a remaining vertex's current degree is its degree minus ``off``, the
+    number of dominating peels so far: the universal candidates are bucket
+    ``size - 1 + off`` and the isolated ones bucket ``off``.  Only the
+    smallest id of a bucket is ever peeled, so each bucket is an ascending
+    queue read through a head index.
     """
     n = g.n
-    masks = g.masks
-    rem = (1 << n) - 1
-    size = n
+    buckets: list[list[int]] = [[] for _ in range(n)]
+    for v, nb in enumerate(g.neighbors):
+        buckets[len(nb)].append(v)
+    head = [0] * n
+    off = 0
     peel: list[tuple[int, str]] = []
-    while size:
-        if size == 1:
-            peel.append(((rem & -rem).bit_length() - 1, ISOLATED))
-            break
-        universal = -1
-        isolated = -1
-        mm = rem
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            mm ^= low
-            d = (masks[v] & rem).bit_count()
-            if d == size - 1:
-                universal = v
-                break
-            if d == 0 and isolated < 0:
-                isolated = v
-        if universal >= 0:
-            peel.append((universal, DOMINATING))
-            rem &= ~(1 << universal)
-        elif isolated >= 0:
-            peel.append((isolated, ISOLATED))
-            rem &= ~(1 << isolated)
+    for size in range(n, 0, -1):
+        d = size - 1 + off
+        if size > 1 and head[d] < len(buckets[d]):
+            peel.append((buckets[d][head[d]], DOMINATING))
+            head[d] += 1
+            off += 1
+        elif head[off] < len(buckets[off]):
+            peel.append((buckets[off][head[off]], ISOLATED))
+            head[off] += 1
         else:
             return None
-        size -= 1
     peel.reverse()
     return CreationSequence(tuple(peel))
 
@@ -633,21 +628,33 @@ def caterpillar_decomposition(g: Graph) -> CaterpillarDecomposition | None:
     The graph must be a tree whose non-leaf vertices induce a path.  Degenerate
     cases: a single vertex or a star use that one internal vertex as the spine;
     an edge uses its smaller endpoint.  The spine starts at its smaller-id end.
+    Runs in O(n) on the neighbour tuples.
     """
     n = g.n
+    neighbors = g.neighbors
     if n == 0 or g.m != n - 1:
         return None
-    if len(_mask_components(g.masks, (1 << n) - 1)) != 1:
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    reached = 1
+    while stack:
+        for w in neighbors[stack.pop()]:
+            if not seen[w]:
+                seen[w] = 1
+                reached += 1
+                stack.append(w)
+    if reached != n:
         return None
     if n == 1:
         return CaterpillarDecomposition((0,), ((),))
     if n == 2:
         return CaterpillarDecomposition((0,), ((1,),))
-    spine_set = [v for v in range(n) if g.degree(v) >= 2]
-    smask = sum(1 << v for v in spine_set)
+    inner = bytearray(len(nb) >= 2 for nb in neighbors)
+    spine_set = [v for v in range(n) if inner[v]]
     ends = []
     for v in spine_set:
-        sdeg = (g.masks[v] & smask).bit_count()
+        sdeg = sum(inner[w] for w in neighbors[v])
         if sdeg > 2:
             return None
         if sdeg <= 1:
@@ -655,20 +662,15 @@ def caterpillar_decomposition(g: Graph) -> CaterpillarDecomposition | None:
     if len(spine_set) == 1:
         spine = [spine_set[0]]
     else:
-        start = min(ends)
-        spine = [start]
         prev = -1
+        spine = [min(ends)]
         while True:
-            nxt = g.masks[spine[-1]] & smask
-            if prev >= 0:
-                nxt &= ~(1 << prev)
-            if not nxt:
+            nxt = next((w for w in neighbors[spine[-1]] if inner[w] and w != prev), None)
+            if nxt is None:
                 break
             prev = spine[-1]
-            spine.append((nxt & -nxt).bit_length() - 1)
-    buckets = tuple(
-        tuple(w for w in g.neighbors[v] if g.degree(w) == 1) for v in spine
-    )
+            spine.append(nxt)
+    buckets = tuple(tuple(w for w in neighbors[v] if len(neighbors[w]) == 1) for v in spine)
     return CaterpillarDecomposition(tuple(spine), buckets)
 
 

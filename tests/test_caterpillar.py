@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from pigfill import (
@@ -16,10 +18,14 @@ from pigfill import (
     caterpillar_pig_completion,
     is_proper_interval,
     materialize_fill_edges,
+    parse_graph,
     placement_from_tables,
+    serialize_graph,
+    threshold_creation_sequence,
     threshold_pig_completion,
     validate_completion,
 )
+from pigfill.generators import gen_caterpillar
 
 
 class TestPlacementTables:
@@ -92,6 +98,19 @@ class TestCompletion:
         g = build_graph(3, [(0, 1)])
         with pytest.raises(GraphInputError):
             caterpillar_pig_completion(g, CaterpillarDecomposition((0, 1, 0), ((), (), ())))
+
+    def test_caterpillar_at_100k_builds_no_rows(self):
+        # the steps of `complete --algo auto` on a caterpillar, from the text
+        text = serialize_graph(gen_caterpillar(33_000, 4, seed=5)[0])
+        start = time.perf_counter()
+        g = parse_graph(text)
+        assert threshold_creation_sequence(g) is None
+        result = caterpillar_pig_completion(g, caterpillar_decomposition(g))
+        elapsed = time.perf_counter() - start
+        assert g.n > 95_000
+        validate_completion(g, result)
+        assert "masks" not in g.__dict__
+        assert elapsed < 5.0, f"{elapsed:.1f} s"
 
 
 class TestMaterialize:

@@ -255,6 +255,32 @@ class TestVerify:
         fill.write_text("{broken")
         assert main(["verify", claw_file, "--fill", str(fill)]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"cost": 1}',  # an object without fill_edges
+            '{"fill_edges": null}',  # a cost-only envelope
+            "[[1, 2.9]]",  # int() would truncate this to the valid fill (1, 2)
+            "[[2, true]]",  # and this one too
+            '[[1, "2"]]',
+            "[[1, 2, 3]]",
+            "[1, 2]",
+        ],
+    )
+    def test_malformed_fill_exit_2(self, capsys, claw_file, tmp_path, text):
+        fill = tmp_path / "fill.json"
+        fill.write_text(text)
+        assert main(["verify", claw_file, "--fill", str(fill)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_pair_listed_twice_rejected(self, capsys, claw_file, tmp_path):
+        fill = tmp_path / "fill.json"
+        fill.write_text("[[1, 2], [2, 1]]")
+        code, out = run_json(capsys, ["verify", claw_file, "--fill", str(fill), "--json"])
+        assert code == 1
+        assert not out["accepted"] and out["fill_size"] == 2
+        assert out["problems"] == ["(1, 2) is listed 2 times"]
+
 
 class TestSchemaConformance:
     def test_outputs_match_documented_schema(self, capsys, claw_file, p4_file, tmp_path):
@@ -286,6 +312,13 @@ class TestErrorsAndXcheck:
         path = tmp_path / "c4.col"
         path.write_text(C4_DIMACS.replace("p edge 4 4", header))
         assert main(["recognize", str(path)]) == 2
+
+    @pytest.mark.parametrize("text", ["1000000000000\n", "p edge 1000000000000 0\n"])
+    def test_oversized_vertex_count_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        assert main(["complete", str(path)]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["recognize", "/nonexistent/file.txt"]) == 2

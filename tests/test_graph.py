@@ -3,7 +3,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pigfill import (
     GraphInputError,
@@ -18,6 +18,7 @@ from pigfill import (
     parse_graph,
     serialize_graph,
 )
+from pigfill.graphio import MAX_VERTICES
 
 
 @st.composite
@@ -26,6 +27,37 @@ def graphs(draw, max_n: int = 8):
     pairs = list(combinations(range(n), 2))
     mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1)) if pairs else 0
     return build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+# Fuzz input for the parsers.  Numbers come only from the integer strategies and junk
+# holds no decimal digit (``int`` also reads non-ASCII digits), so no text can
+# announce more than 50 vertices.
+_small_ints = st.integers(min_value=-3, max_value=50).map(str)
+_junk = st.text(st.characters(blacklist_categories=("Nd",)), min_size=1, max_size=4)
+_tokens = st.one_of(
+    _small_ints,
+    st.sampled_from(["p", "e", "c", "#", "edge", "1.5", "+2", "0x1", "-", "p\tedge"]),
+    _junk,
+)
+
+
+@st.composite
+def _graph_texts(draw):
+    """Text near the edge-list and DIMACS formats: valid lines mixed with junk."""
+    n = draw(st.integers(min_value=0, max_value=50))
+    dimacs = draw(st.booleans())
+    vertex = st.integers(min_value=-1, max_value=n + 1)
+    line = st.one_of(
+        st.lists(_tokens, max_size=5).map(" ".join),
+        st.tuples(vertex, vertex).map(lambda e: f"e {e[0] + 1} {e[1] + 1}" if dimacs else f"{e[0]} {e[1]}"),
+        _junk.map(lambda s: "# " + s),
+    )
+    lines = draw(st.lists(line, max_size=8))
+    if draw(st.booleans()):
+        # a well-formed header keeps many inputs parseable
+        lines.insert(0, f"p edge {n} {len(lines)}" if dimacs else str(n))
+    sep = draw(st.sampled_from(["\n", "\r\n", "\n\t"]))
+    return sep.join(lines)
 
 
 class TestBuildGraph:
@@ -136,6 +168,39 @@ class TestMasksAndFill:
     def test_from_masks_rejects_asymmetry(self):
         with pytest.raises(GraphInputError):
             graph_from_masks([0b010, 0b000, 0b000])
+        with pytest.raises(GraphInputError):
+            graph_from_masks([0b110, 0b001, 0b000])
+
+    def test_rows_built_on_first_read(self):
+        g = build_graph(4, [(0, 1), (2, 3)])
+        assert "masks" not in g.__dict__
+        assert g.has_edge(1, 0) and not g.has_edge(0, 2)
+        assert "masks" not in g.__dict__
+        assert g.masks == (0b0010, 0b0001, 0b1000, 0b0100)
+        assert "masks" in g.__dict__
+
+    def test_from_masks_caches_given_rows(self):
+        rows = [0b110, 0b001, 0b001]
+        g = graph_from_masks(rows)
+        assert g.__dict__["masks"] == tuple(rows)
+        assert g.neighbors == ((1, 2), (0,), (0,))
+
+    @given(graphs())
+    def test_equality_and_hash_ignore_built_rows(self, g):
+        lazy = build_graph(g.n, g.edges())
+        built = build_graph(g.n, g.edges())
+        built.masks
+        from_rows = graph_from_masks(list(built.masks))
+        assert "masks" not in lazy.__dict__
+        assert lazy == built == from_rows
+        assert hash(lazy) == hash(built) == hash(from_rows)
+        assert len({lazy, built, from_rows}) == 1
+
+    @given(graphs())
+    def test_has_edge_matches_rows(self, g):
+        for u in range(g.n):
+            for v in range(g.n):
+                assert g.has_edge(u, v) == bool(g.masks[u] >> v & 1)
 
     def test_apply_fill(self, p4):
         h = apply_fill(p4, [(0, 3)])
@@ -184,6 +249,29 @@ class TestSerialization:
             parse_graph("3\n0 1 2\n")
         with pytest.raises(GraphInputError):
             parse_graph("p edge x\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1000000000000\n",
+            "p edge 1000000000000 0\n",
+            f"{MAX_VERTICES + 1}\n0 1\n",
+            f"p edge {MAX_VERTICES + 1} 1\ne 1 2\n",
+        ],
+    )
+    def test_oversized_vertex_count_refused(self, text):
+        with pytest.raises(GraphInputError, match="exceeds the limit"):
+            parse_graph(text)
+
+    @settings(max_examples=300)
+    @given(_graph_texts())
+    def test_any_text_parses_round_trip_or_raises(self, text):
+        try:
+            g = parse_graph(text)
+        except GraphInputError:
+            return
+        assert g.n <= 50
+        assert parse_graph(serialize_graph(g)) == g
 
     def test_save_load_round_trip(self, tmp_path, claw):
         from pigfill import load_graph, save_graph

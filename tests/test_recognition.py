@@ -267,3 +267,122 @@ class TestPigAgreementSampledAt7:
             if verdict.is_pig:
                 assert_umbrella_order(g, verdict.order)
 
+
+
+# Reference copies of the bitmask probes that the O(n + m) recognizers
+# replaced; the sparse versions must return the same certificates.
+
+
+def _threshold_sequence_on_masks(g):
+    n, masks = g.n, g.masks
+    rem = (1 << n) - 1
+    size = n
+    peel = []
+    while size:
+        if size == 1:
+            peel.append(((rem & -rem).bit_length() - 1, "i"))
+            break
+        universal = isolated = -1
+        mm = rem
+        while mm:
+            low = mm & -mm
+            v = low.bit_length() - 1
+            mm ^= low
+            d = (masks[v] & rem).bit_count()
+            if d == size - 1:
+                universal = v
+                break
+            if d == 0 and isolated < 0:
+                isolated = v
+        if universal >= 0:
+            peel.append((universal, "d"))
+            rem &= ~(1 << universal)
+        elif isolated >= 0:
+            peel.append((isolated, "i"))
+            rem &= ~(1 << isolated)
+        else:
+            return None
+        size -= 1
+    return tuple(reversed(peel))
+
+
+def _caterpillar_on_masks(g):
+    n, masks = g.n, g.masks
+    if n == 0 or g.m != n - 1:
+        return None
+    comp = frontier = 1
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = masks[low.bit_length() - 1] & ~comp
+        comp |= new
+        frontier |= new
+    if comp != (1 << n) - 1:
+        return None
+    if n == 1:
+        return (0,), ((),)
+    if n == 2:
+        return (0,), ((1,),)
+    spine_set = [v for v in range(n) if g.degree(v) >= 2]
+    smask = sum(1 << v for v in spine_set)
+    ends = []
+    for v in spine_set:
+        sdeg = (masks[v] & smask).bit_count()
+        if sdeg > 2:
+            return None
+        if sdeg <= 1:
+            ends.append(v)
+    spine = [min(ends)] if len(spine_set) > 1 else [spine_set[0]]
+    prev = -1
+    while len(spine_set) > 1:
+        nxt = masks[spine[-1]] & smask & ~(1 << prev if prev >= 0 else 0)
+        if not nxt:
+            break
+        prev = spine[-1]
+        spine.append((nxt & -nxt).bit_length() - 1)
+    buckets = tuple(tuple(w for w in g.neighbors[v] if g.degree(w) == 1) for v in spine)
+    return tuple(spine), buckets
+
+
+def _assert_probes_match_reference(g):
+    seq = threshold_creation_sequence(g)
+    assert (None if seq is None else seq.steps) == _threshold_sequence_on_masks(g), g.edges()
+    d = caterpillar_decomposition(g)
+    assert (None if d is None else (d.spine, d.buckets)) == _caterpillar_on_masks(g), g.edges()
+
+
+def _relabelled(g, seed):
+    import random
+
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestSparseProbesMatchMaskReference:
+    def test_exhaustive_to_6(self):
+        for n in range(7):
+            for g in _all_graphs(n):
+                _assert_probes_match_reference(g)
+
+    def test_sampled_at_7(self):
+        import random
+
+        rng = random.Random(4_2026)
+        pairs = list(combinations(range(7), 2))
+        for _ in range(4000):
+            mask = rng.randrange(1 << len(pairs))
+            _assert_probes_match_reference(build_graph(7, [p for i, p in enumerate(pairs) if mask >> i & 1]))
+
+    def test_generated_members(self):
+        from pigfill.generators import gen_threshold
+
+        for seed in range(60):
+            g, _ = gen_threshold(5 + seed, 0.5, seed)
+            c, _ = gen_caterpillar(1 + seed % 30, 3, seed)
+            for h in (g, _relabelled(g, seed)):
+                assert threshold_creation_sequence(h) is not None
+                _assert_probes_match_reference(h)
+            for h in (c, _relabelled(c, seed)):
+                assert caterpillar_decomposition(h) is not None
+                _assert_probes_match_reference(h)
