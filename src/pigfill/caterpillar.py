@@ -130,11 +130,14 @@ def _describes(d: CaterpillarDecomposition, g: Graph) -> bool:
     return sorted(edge(u, v) for u, v in pairs) == g.edges()
 
 
-def caterpillar_pig_completion(g: Graph, d: CaterpillarDecomposition | None = None) -> CompletionResult:
+def caterpillar_pig_completion(
+    g: Graph, d: CaterpillarDecomposition | None = None, *, cost_only: bool = False
+) -> CompletionResult:
     """Minimum proper-interval completion of a caterpillar.
 
     Computes the spine decomposition if not supplied; a supplied one must
-    describe g exactly.
+    describe g exactly.  With ``cost_only`` the fill is not materialized and
+    ``fill`` is None.
     """
     if d is None:
         d = caterpillar_decomposition(g)
@@ -144,6 +147,8 @@ def caterpillar_pig_completion(g: Graph, d: CaterpillarDecomposition | None = No
         raise GraphInputError("caterpillar decomposition does not describe the input graph")
     tables = build_placement_tables(d)
     placement = placement_from_tables(d, tables)
+    if cost_only:
+        return CompletionResult(None, tables.answer, placement, "caterpillar")
     fill = materialize_fill_edges(g, placement)
     if len(fill) != tables.answer:
         raise AssertionError("DP answer disagrees with the materialized fill")

@@ -49,22 +49,22 @@ SCHEMA_VERSION = 1
 _THRESHOLD = dict(
     name="threshold", key="threshold", algo="threshold",
     recognize=threshold_creation_sequence, complete=threshold_pig_completion,
-    json=lambda seq: {"steps": [[v, t] for v, t in seq.steps]},
+    json=lambda seq: {"steps": seq.steps},
 )
 _CATERPILLAR = dict(
     name="caterpillar", key="caterpillar", algo="caterpillar",
     recognize=caterpillar_decomposition, complete=caterpillar_pig_completion,
-    json=lambda d: {"spine": list(d.spine), "buckets": [list(b) for b in d.buckets]},
+    json=lambda d: {"spine": d.spine, "buckets": d.buckets},
 )
 _QUASI_THRESHOLD = dict(
     name="quasi-threshold", key="quasiThreshold", algo="qt-cobipartite",
     recognize=quasi_threshold_forest, complete=qt_cobipartite_completion,
-    json=lambda f: {"parents": list(f.parent), "roots": list(f.roots)},
+    json=lambda f: {"parents": f.parent, "roots": f.roots},
 )
 _SPLIT = dict(
     name="split", key="split", algo=None,
     recognize=split_partition, complete=None,
-    json=lambda p: {"clique": list(p.clique), "independent": list(p.independent)},
+    json=lambda p: {"clique": p.clique, "independent": p.independent},
 )
 _PROPER_INTERVAL = dict(
     name="proper-interval", key="properInterval", algo=None,
@@ -72,7 +72,7 @@ _PROPER_INTERVAL = dict(
     json=lambda v: {
         "isProperInterval": v.is_pig,
         "witnessKind": v.witness_kind,
-        "witness": list(v.witness) if v.witness else None,
+        "witness": v.witness or None,
     },
 )
 CLASSES = (_THRESHOLD, _CATERPILLAR, _QUASI_THRESHOLD, _SPLIT, _PROPER_INTERVAL)
@@ -89,20 +89,62 @@ def _digest(g: Graph) -> str:
     return "sha256:" + hashlib.sha256(serialize_graph(g).encode()).hexdigest()
 
 
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _dumps(obj, depth: int = 0) -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, without the pure-Python encoder.
+
+    ``indent`` makes ``json.dumps`` walk each element in Python.  Here a list
+    of scalars, or a list of non-empty rows of scalars, is encoded by the C
+    encoder once and indented with ``str.replace``; any other list recurses
+    per element.
+    """
+    if not isinstance(obj, (dict, list, tuple)):
+        return _compact(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    i0 = "\n" + "  " * depth
+    i1 = i0 + "  "
+    if isinstance(obj, dict):
+        # '{"key":null}'[1:-6] is how json.dumps writes a key of any other type
+        items = (
+            (_compact(k) if isinstance(k, str) else _compact({k: None})[1:-6]) + ": " + _dumps(v, depth + 1)
+            for k, v in obj.items()
+        )
+        return "{" + i1 + ("," + i1).join(items) + i0 + "}"
+    text = _compact(obj)
+    # the replaces need every ',' to separate list items: no dict, and no
+    # string that holds a comma or an escape (which would hide its end quote)
+    strings = "".join(text.split('"')[1::2])
+    if not ("{" in text or "\\" in text or "," in strings):
+        if text.count("[") == 1:
+            return "[" + i1 + text[1:-1].replace(",", "," + i1) + i0 + "]"
+        # rows: "[[" scalars ("],[" scalars)* "]]", with no other bracket and no empty row
+        body = text[2:-2]
+        rows = text.startswith("[[") and text.endswith("]]") and "[]" not in text
+        if rows and "[" not in body.replace("],[", ""):
+            i2 = i1 + "  "
+            body = body.replace(",", "," + i2).replace("]," + i2 + "[", i1 + "]," + i1 + "[" + i2)
+            return "[" + i1 + "[" + i2 + body + i1 + "]" + i0 + "]"
+    return "[" + i1 + ("," + i1).join(_dumps(x, depth + 1) for x in obj) + i0 + "]"
+
+
 def _envelope(g: Graph, result: CompletionResult, runtime_ms: float, sequence: dict | None) -> dict:
+    """The ``complete`` envelope; fill pairs and certificates stay tuples, which encode as lists."""
     env: dict = {
         "schema_version": SCHEMA_VERSION,
         "input": {"digest": _digest(g), "n": g.n, "m": g.m},
         "algorithm": result.algorithm,
         "cost": result.cost,
-        "fill_edges": [list(e) for e in sorted_edges(result.fill)] if result.fill is not None else None,
+        "fill_edges": sorted_edges(result.fill) if result.fill is not None else None,
         "runtime_ms": round(runtime_ms, 3),
     }
     cert = result.certificate
     if isinstance(cert, CliqueBipartition):
-        env["partition"] = {"s1": list(cert.s1), "s2": list(cert.s2)}
+        env["partition"] = {"s1": cert.s1, "s2": cert.s2}
     elif isinstance(cert, PointPlacement):
-        env["placement"] = {"spine": list(cert.spine), "points": [list(p) for p in cert.points]}
+        env["placement"] = {"spine": cert.spine, "points": cert.points}
     if sequence is not None:
         env["sequence"] = sequence
     if result.lower_bound_for:
@@ -119,11 +161,11 @@ def _print_envelope_text(env: dict) -> None:
         shown = " ".join(f"{u}-{v}" for u, v in env["fill_edges"])
         print(f"fill         {shown if shown else '(none)'}")
     if "partition" in env:
-        print(f"side 1       {env['partition']['s1']}")
-        print(f"side 2       {env['partition']['s2']}")
+        print(f"side 1       {list(env['partition']['s1'])}")
+        print(f"side 2       {list(env['partition']['s2'])}")
     if "placement" in env:
-        print(f"spine        {env['placement']['spine']}")
-        print(f"leaf points  {env['placement']['points']}")
+        print(f"spine        {list(env['placement']['spine'])}")
+        print(f"leaf points  {[list(p) for p in env['placement']['points']]}")
     print(f"runtime      {env['runtime_ms']} ms")
 
 
@@ -145,7 +187,7 @@ def _cmd_recognize(args) -> int:
             row["key"]: None if cert is None else row["json"](cert) for row, cert in zip(CLASSES, certs)
         },
     }
-    print(json.dumps(out, indent=2))
+    print(_dumps(out))
     return 0
 
 
@@ -160,22 +202,20 @@ def _cmd_complete(args) -> int:
         # an explicit --algo runs even without a certificate: the completer
         # then recognizes again and raises with a witness
         if cert is not None or args.algo != "auto":
+            result = row["complete"](g, cert, cost_only=args.cost_only)
             if row is _THRESHOLD:
-                result = row["complete"](g, cert, cost_only=args.cost_only)
                 sequence = row["json"](cert)
-            else:
-                result = row["complete"](g, cert)
             break
     else:
         if args.algo == "auto" and g.n > args.max_n:
             *first, last = (row["name"] for row in _COMPLETABLE)
             raise ClassMembershipError(f"{', '.join(first)} or {last} (and too large for the oracle)")
         cost, fill = brute_min_pig(g, OracleBudget(max_vertices=args.max_n))
-        result = CompletionResult(fill, cost, None, "oracle")
+        result = CompletionResult(None if args.cost_only else fill, cost, None, "oracle")
     runtime_ms = (time.perf_counter() - start) * 1000.0
     env = _envelope(g, result, runtime_ms, sequence)
     if args.json:
-        print(json.dumps(env, indent=2))
+        print(_dumps(env))
     else:
         _print_envelope_text(env)
     return 0
@@ -203,7 +243,7 @@ def _cmd_oracle(args) -> int:
         **payload,
     }
     if args.json:
-        print(json.dumps(out, indent=2))
+        print(_dumps(out))
     else:
         for key, value in payload.items():
             print(f"{key:12} {value}")
@@ -219,9 +259,9 @@ def _cmd_gen(args) -> int:
         g = gadget.graph
         spec = {"class": "gadget", "input_digest": _digest(base)}
         certificate = {
-            "copyMaps": [list(m) for m in gadget.copy_maps],
-            "bigClique": list(gadget.big_clique),
-            "independentCopies": [list(m) for m in gadget.independent_copies],
+            "copyMaps": gadget.copy_maps,
+            "bigClique": gadget.big_clique,
+            "independentCopies": gadget.independent_copies,
         }
     else:
         spec = {"class": args.klass, "seed": args.seed}
@@ -248,10 +288,10 @@ def _cmd_gen(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(serialize_graph(g))
         with open(args.out + ".cert.json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
+            fh.write(_dumps(sidecar))
         print(f"wrote {args.out} and {args.out}.cert.json")
     elif args.json:
-        print(json.dumps({"graph": serialize_graph(g), **sidecar}, indent=2))
+        print(_dumps({"graph": serialize_graph(g), **sidecar}))
     else:
         sys.stdout.write(serialize_graph(g))
     return 0
@@ -299,7 +339,7 @@ def _cmd_verify(args) -> int:
         "witness": list(verdict.witness) if verdict and verdict.witness else None,
     }
     if args.json:
-        print(json.dumps(out, indent=2))
+        print(_dumps(out))
     else:
         print("accepted" if accepted else "rejected: " + "; ".join(problems))
     return 0 if accepted else 1

@@ -166,12 +166,15 @@ def _backtrack(f: QtForest, tables: DpTables, j_star: int) -> tuple[tuple[int, .
     return s1, s2
 
 
-def qt_cobipartite_completion(g: Graph, forest: QtForest | None = None) -> CompletionResult:
+def qt_cobipartite_completion(
+    g: Graph, forest: QtForest | None = None, *, cost_only: bool = False
+) -> CompletionResult:
     """Minimum co-bipartite completion with an explicit clique bipartition.
 
     Computes the rooted forest if not supplied; a supplied one must rebuild g.
     The cost is a lower bound for the minimum proper-interval completion; the
     result is labeled accordingly.  Ties resolve to the smallest side-1 size.
+    With ``cost_only`` the fill is not materialized and ``fill`` is None.
     """
     if forest is None:
         forest = quasi_threshold_forest(g)
@@ -186,11 +189,13 @@ def qt_cobipartite_completion(g: Graph, forest: QtForest | None = None) -> Compl
     s1, s2 = _backtrack(forest, tables, j_star)
     if len(s1) != j_star:
         raise AssertionError("backtracked side size disagrees with the argmin")
-    fill = non_edges_within(g, s1) | non_edges_within(g, s2)
-    if len(fill) != cost:
-        raise AssertionError("DP cost disagrees with the materialized fill")
+    fill = None
+    if not cost_only:
+        fill = non_edges_within(g, s1) | non_edges_within(g, s2)
+        if len(fill) != cost:
+            raise AssertionError("DP cost disagrees with the materialized fill")
     return CompletionResult(
-        frozenset(fill),
+        fill,
         cost,
         CliqueBipartition(s1, s2),
         "qt-cobipartite",

@@ -5,13 +5,15 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pigfill import caterpillar_decomposition, quasi_threshold_forest, threshold_creation_sequence
-from pigfill.cli import main
+from pigfill.cli import _dumps, main
 
 CLAW = "4\n0 1\n0 2\n0 3\n"
 P4 = "4\n0 1\n1 2\n2 3\n"
 TWO_TRIANGLES = "6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"  # quasi-threshold only
+CATERPILLAR = "5\n0 1\n1 2\n2 3\n1 4\n"  # spine 1-2, leaf 4 on vertex 1
 C4_DIMACS = "c a four-cycle\np edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
 
 
@@ -102,6 +104,18 @@ class TestComplete:
         code, env = run_json(capsys, ["complete", "--algo", "threshold", "--cost-only", "--json", claw_file])
         assert code == 0 and env["cost"] == 1 and env["fill_edges"] is None
 
+    @pytest.mark.parametrize(
+        "graph, algo", [("caterpillar", "caterpillar"), ("claw", "qt-cobipartite"), ("caterpillar", "oracle")]
+    )
+    def test_cost_only_every_algo(self, capsys, tmp_path, graph, algo):
+        path = tmp_path / "g.txt"
+        path.write_text({"claw": CLAW, "caterpillar": CATERPILLAR}[graph])
+        code, full = run_json(capsys, ["complete", "--algo", algo, "--json", str(path)])
+        assert code == 0 and full["cost"] == len(full["fill_edges"]) == 1
+        code, env = run_json(capsys, ["complete", "--algo", algo, "--cost-only", "--json", str(path)])
+        assert code == 0 and env["cost"] == full["cost"] and env["fill_edges"] is None
+        assert env["algorithm"] == full["algorithm"]
+
     def test_class_error_exit_code(self, capsys, p4_file, tmp_path):
         assert main(["complete", "--algo", "threshold", p4_file]) == 1
         assert "not threshold" in capsys.readouterr().err
@@ -116,6 +130,16 @@ class TestComplete:
         assert main(["complete", "--algo", "threshold", claw_file]) == 0
         out = capsys.readouterr().out
         assert "cost         1" in out
+
+    def test_text_output_prints_lists(self, capsys, claw_file, tmp_path):
+        assert main(["complete", claw_file]) == 0
+        out = capsys.readouterr().out
+        assert "fill         1-2\nside 1       [0, 3]\nside 2       [1, 2]\n" in out
+        path = tmp_path / "cat.txt"
+        path.write_text(CATERPILLAR)
+        assert main(["complete", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "fill         2-4\nspine        [1, 2]\nleaf points  [[0, 0], [3, 2], [4, 1]]\n" in out
 
     def test_empty_graph_is_threshold(self, capsys, tmp_path):
         # the empty creation sequence is falsy but still a certificate
@@ -327,3 +351,102 @@ class TestErrorsAndXcheck:
         assert main(["xcheck", "--class", "threshold", "--max-n", "5"]) == 0
         out = capsys.readouterr().out
         assert "pass" in out and "FAIL" not in out
+
+
+_ints = st.integers(min_value=-(10**20), max_value=10**20)
+# plain text, and short strings of the characters that delimit JSON structure
+_text = st.one_of(st.text(), st.text(alphabet=',[]{}":\\ aé', max_size=4))
+_scalars = st.one_of(st.none(), st.booleans(), _ints, st.floats(allow_nan=True, allow_infinity=True), _text)
+_json_values = st.recursive(
+    st.one_of(
+        _scalars,
+        st.lists(_ints),
+        st.lists(st.lists(_ints, max_size=4)),  # rows, empty and ragged ones included
+        st.lists(st.tuples(_ints, _ints)).map(tuple),
+        st.lists(st.lists(_scalars, max_size=3), max_size=4),
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(_text, _ints, st.booleans(), st.none(), st.floats()), kids, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+_GEN = {
+    "threshold": ["--n", "12"],
+    "caterpillar": ["--spine-len", "6", "--max-leaves", "3"],
+    "quasi-threshold": ["--n", "14"],
+    "split": ["--n", "6"],
+}
+
+
+@pytest.fixture
+def generated(tmp_path, capsys):
+    """Seeded instances of every generated class, written with ``gen --out``."""
+    paths = {}
+    for klass, extra in _GEN.items():
+        paths[klass] = str(tmp_path / f"{klass}.txt")
+        assert main(["gen", klass, "--seed", "1", *extra, "--out", paths[klass]]) == 0
+    capsys.readouterr()
+    return paths
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(_json_values)
+    @example(['",'])  # an escaped quote must not hide the comma after it
+    @example([1, [[2]]])  # two brackets for two items, yet not rows
+    @example([[], [1]])
+    @example([{"a": 1, "b": [2]}, 3])
+    def test_matches_json_dumps_indent_2(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recognize", "{threshold}"],
+            ["recognize", "{quasi-threshold}"],
+            ["complete", "{threshold}", "--json"],
+            ["complete", "{caterpillar}", "--json"],
+            ["complete", "{quasi-threshold}", "--json"],
+            ["complete", "{split}", "--json", "--max-n", "9"],
+            ["oracle", "pig", "{split}", "--json"],
+            ["oracle", "cobip", "{split}", "--json"],
+            ["oracle", "maxcut", "{split}", "--json"],
+            ["verify", "{caterpillar}", "--fill", "{fill}", "--json"],
+            ["verify", "{split}", "--fill", "{fill}", "--json"],
+            *(["gen", klass, "--seed", "2", *extra, "--json"] for klass, extra in _GEN.items()),
+            ["gen", "gadget", "--input", "{split}", "--json"],
+        ],
+        ids=" ".join,
+    )
+    def test_cli_output_is_json_dumps_indent_2(self, capsys, tmp_path, generated, argv):
+        fill = tmp_path / "fill.json"
+        fill.write_text("[[0, 1], [1, 2]]")
+        argv = [arg.format(fill=fill, **generated) if "{" in arg else arg for arg in argv]
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_gen_out_sidecar_is_json_dumps_indent_2(self, generated):
+        for klass in _GEN:
+            with open(generated[klass] + ".cert.json", encoding="utf-8") as fh:
+                text = fh.read()
+            assert text == json.dumps(json.loads(text), indent=2)
+
+    @pytest.mark.parametrize("klass", ["caterpillar", "quasi-threshold"])
+    def test_complete_never_uses_the_python_encoder(self, capsys, monkeypatch, tmp_path, klass):
+        path = str(tmp_path / "g.txt")
+        extra = {"caterpillar": ["--spine-len", "300"], "quasi-threshold": ["--n", "120"]}[klass]
+        assert main(["gen", klass, "--seed", "3", *extra, "--out", path]) == 0
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the pure-Python JSON encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        assert main(["complete", path, "--json"]) == 0
+        env = json.loads(capsys.readouterr().out)
+        assert env["algorithm"] == {"caterpillar": "caterpillar", "quasi-threshold": "qt-cobipartite"}[klass]
+        assert env["cost"] == len(env["fill_edges"]) > 0
