@@ -54,6 +54,7 @@ from .recognition import (
     SplitPartition,
     caterpillar_decomposition,
     caterpillar_graph,
+    creation_sequence_matches,
     forest_from_parents,
     is_proper_interval,
     qt_forest_graph,

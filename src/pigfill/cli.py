@@ -130,11 +130,14 @@ def _dumps(obj, depth: int = 0) -> str:
     return "[" + i1 + ("," + i1).join(_dumps(x, depth + 1) for x in obj) + i0 + "]"
 
 
-def _envelope(g: Graph, result: CompletionResult, runtime_ms: float, sequence: dict | None) -> dict:
-    """The ``complete`` envelope; fill pairs and certificates stay tuples, which encode as lists."""
+def _envelope(g: Graph, result: CompletionResult, runtime_ms: float, sequence: dict | None, digest: bool) -> dict:
+    """The ``complete`` envelope; fill pairs and certificates stay tuples, which encode as lists.
+
+    The text output prints no input digest, so ``digest=False`` leaves it out.
+    """
     env: dict = {
         "schema_version": SCHEMA_VERSION,
-        "input": {"digest": _digest(g), "n": g.n, "m": g.m},
+        "input": {"digest": _digest(g) if digest else None, "n": g.n, "m": g.m},
         "algorithm": result.algorithm,
         "cost": result.cost,
         "fill_edges": sorted_edges(result.fill) if result.fill is not None else None,
@@ -213,7 +216,7 @@ def _cmd_complete(args) -> int:
         cost, fill = brute_min_pig(g, OracleBudget(max_vertices=args.max_n))
         result = CompletionResult(None if args.cost_only else fill, cost, None, "oracle")
     runtime_ms = (time.perf_counter() - start) * 1000.0
-    env = _envelope(g, result, runtime_ms, sequence)
+    env = _envelope(g, result, runtime_ms, sequence, digest=args.json)
     if args.json:
         print(_dumps(env))
     else:
@@ -330,15 +333,15 @@ def _cmd_verify(args) -> int:
         if not verdict.is_pig:
             problems.append(f"augmented graph is not proper interval ({verdict.witness_kind})")
     accepted = not problems
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "input": {"digest": _digest(g), "n": g.n, "m": g.m},
-        "fill_size": len(fill),
-        "accepted": accepted,
-        "problems": problems,
-        "witness": list(verdict.witness) if verdict and verdict.witness else None,
-    }
     if args.json:
+        out = {
+            "schema_version": SCHEMA_VERSION,
+            "input": {"digest": _digest(g), "n": g.n, "m": g.m},
+            "fill_size": len(fill),
+            "accepted": accepted,
+            "problems": problems,
+            "witness": list(verdict.witness) if verdict and verdict.witness else None,
+        }
         print(_dumps(out))
     else:
         print("accepted" if accepted else "rejected: " + "; ".join(problems))

@@ -12,6 +12,7 @@ serialized or printed.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -185,14 +186,23 @@ def _check_subset(g: Graph, s: list[int]) -> None:
 
 
 def apply_fill(g: Graph, fill: Iterable[Edge]) -> Graph:
-    """Supergraph of g with the given fill edges added."""
-    masks = list(g.masks)
+    """Supergraph of g with the given fill edges added; repeats and edges of g collapse.
+
+    Only the neighbour tuples a fill pair touches are rebuilt, and no bitmask
+    row is built.
+    """
+    n = g.n
+    extra: defaultdict[int, set[int]] = defaultdict(set)
     for u, v in fill:
-        if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
             raise GraphInputError(f"bad fill edge ({u}, {v})")
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return graph_from_masks(masks)
+        extra[u].add(v)
+        extra[v].add(u)
+    neighbors = list(g.neighbors)
+    for v, added in extra.items():
+        added.update(neighbors[v])
+        neighbors[v] = tuple(sorted(added))
+    return Graph(n, tuple(neighbors))
 
 
 def iter_non_edges(g: Graph) -> Iterator[Edge]:

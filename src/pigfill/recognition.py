@@ -350,23 +350,26 @@ def _is_umbrella(neighbors, order) -> bool:
 def is_proper_interval(g: Graph) -> PigVerdict:
     """Proper-interval test with a certificate for either answer.
 
-    A claw scan runs first.  A claw-free graph gets the 3-sweep LexBFS order
-    of Corneil (*A simple 3-sweep LBFS algorithm for the recognition of unit
-    interval graphs*, Discrete Appl. Math. 138, 2004); it is accepted iff
-    every closed neighbourhood is consecutive in that order, the umbrella
+    The graph first gets the 3-sweep LexBFS order of Corneil (*A simple
+    3-sweep LBFS algorithm for the recognition of unit interval graphs*,
+    Discrete Appl. Math. 138, 2004); it is accepted iff every closed
+    neighbourhood is consecutive in that order, the umbrella
     characterisation of Looges and Olariu (*Optimal greedy algorithms for
     indifference graphs*, Comput. Math. Appl. 25, 1993).  The order is
-    returned as the certificate.  A rejected graph gets a witness from the
+    returned as the certificate.  Such an order exists only for proper
+    interval graphs (Roberts, *On the compatibility between a graph and a
+    simple order*, J. Combin. Theory B 11, 1971), so an accept needs no
+    forbidden-subgraph scan.  A rejected graph gets a witness from the
     forbidden-subgraph characterisation (chordal and free of induced claw,
-    net and tent): a chordless cycle, then a net, then a tent.
+    net and tent): a claw, then a chordless cycle, then a net, then a tent.
     """
+    order = _three_sweep_order(g)
+    if order is not None and _is_umbrella(g.neighbors, order):
+        return PigVerdict(True, order=order)
     masks, n = g.masks, g.n
     claw = _find_claw(masks, n)
     if claw is not None:
         return PigVerdict(False, "claw", claw)
-    order = _three_sweep_order(g)
-    if order is not None and _is_umbrella(g.neighbors, order):
-        return PigVerdict(True, order=order)
     violation = _peo_violation(masks, n)
     if violation is not None:
         cycle = _find_chordless_cycle(masks, n, hint=violation)
@@ -422,6 +425,33 @@ def replay_creation_sequence(seq: CreationSequence) -> Graph:
             raise ValueError(f"unknown creation tag {tag!r}")
         before.append(v)
     return build_graph(n, edges)
+
+
+def creation_sequence_matches(g: Graph, seq: CreationSequence) -> bool:
+    """True iff ``seq`` is well formed and replays to ``g``; O(n), builds no graph.
+
+    The replay gives the vertex at position p degree p (0 if tagged ``i``)
+    plus the number of later ``d`` steps, so g must have those degrees.  They
+    suffice: any other graph with the replay's degrees would be reachable from
+    it by 2-switches (ab, cd edges and ac, bd non-edges traded), and a 2-switch
+    needs an induced 2K2, P4 or C4, which the threshold replay does not have.
+    """
+    n, steps = g.n, seq.steps
+    if len(steps) != n:
+        return False
+    seen = bytearray(n)
+    for v, tag in steps:
+        if not 0 <= v < n or seen[v] or tag not in (ISOLATED, DOMINATING):
+            return False
+        seen[v] = 1
+    later = 0
+    for p in range(n - 1, -1, -1):
+        v, tag = steps[p]
+        dominating = tag == DOMINATING
+        if len(g.neighbors[v]) != (p if dominating else 0) + later:
+            return False
+        later += dominating
+    return True
 
 
 def threshold_creation_sequence(g: Graph) -> CreationSequence | None:

@@ -23,7 +23,7 @@ from .recognition import (
     DOMINATING,
     ISOLATED,
     CreationSequence,
-    replay_creation_sequence,
+    creation_sequence_matches,
     threshold_creation_sequence,
 )
 from .results import CliqueBipartition, CompletionResult
@@ -70,13 +70,13 @@ def _assign(steps: tuple[tuple[int, str], ...]) -> tuple[list[int], list[tuple[i
 
 
 def threshold_run(g: Graph, sequence: CreationSequence | None = None) -> ThresholdRun:
-    """Run the assignment loop; computes and validates the sequence if not supplied."""
+    """Run the assignment loop; computes the sequence if not supplied, else checks it against g."""
     if sequence is None:
         sequence = threshold_creation_sequence(g)
         if sequence is None:
             witness = forbidden_subgraph_scan(g, "threshold") if g.n <= _WITNESS_CAP else None
             raise ClassMembershipError("threshold", witness)
-    elif replay_creation_sequence(sequence) != g:
+    elif not creation_sequence_matches(g, sequence):
         raise GraphInputError("creation sequence does not replay to the input graph")
     active = tuple(step for step in sequence.steps if g.degree(step[0]) > 0)
     stripped = tuple(v for v, _ in sequence.steps if g.degree(v) == 0)

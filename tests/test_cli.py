@@ -306,6 +306,30 @@ class TestVerify:
         assert out["problems"] == ["(1, 2) is listed 2 times"]
 
 
+class TestDigestOnlyForJson:
+    def test_text_output_computes_no_digest(self, capsys, monkeypatch, claw_file, tmp_path):
+        import pigfill.cli as cli
+
+        fill = tmp_path / "fill.json"
+        fill.write_text("[[1, 2]]")
+        runs = (["complete", claw_file], ["verify", claw_file, "--fill", str(fill)])
+
+        def text_of(argv):
+            assert main(argv) == 0
+            return [line for line in capsys.readouterr().out.splitlines() if not line.startswith("runtime")]
+
+        expected = [text_of(argv) for argv in runs]
+
+        def refuse(g):
+            raise RuntimeError("digest computed for text output")
+
+        monkeypatch.setattr(cli, "_digest", refuse)
+        assert [text_of(argv) for argv in runs] == expected
+        for argv in runs:
+            with pytest.raises(RuntimeError):
+                main(argv + ["--json"])
+
+
 class TestSchemaConformance:
     def test_outputs_match_documented_schema(self, capsys, claw_file, p4_file, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")

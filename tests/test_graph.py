@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -208,6 +209,42 @@ class TestMasksAndFill:
 
     def test_non_edges_lexicographic(self, claw):
         assert list(iter_non_edges(claw)) == [(1, 2), (1, 3), (2, 3)]
+
+
+def _apply_fill_on_masks(g, fill):
+    """Reference: OR each pair into the bitmask rows."""
+    masks = list(g.masks)
+    for u, v in fill:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return graph_from_masks(masks)
+
+
+class TestApplyFill:
+    def test_matches_mask_reference(self):
+        rng = random.Random(6_2026)
+        for trial in range(300):
+            n = rng.randint(1, 40)
+            pairs = list(combinations(range(n), 2))
+            g = build_graph(n, [p for p in pairs if rng.random() < rng.random()])
+            fill = [p for p in pairs if rng.random() < 0.2]  # also picks edges of g
+            fill += rng.choices(fill, k=len(fill) // 2) if fill else []  # repeats
+            fill = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in fill]
+            rng.shuffle(fill)
+            h = apply_fill(g, fill)
+            assert "masks" not in h.__dict__
+            assert h == _apply_fill_on_masks(g, fill), (n, trial)
+            assert "masks" not in h.__dict__
+
+    def test_untouched_rows_are_shared(self, p4):
+        h = apply_fill(p4, [(0, 2)])
+        assert h.neighbors == ((1, 2), (0, 2), (0, 1, 3), (2,))
+        assert h.neighbors[3] is p4.neighbors[3]
+
+    @pytest.mark.parametrize("pair", [(0, 4), (4, 0), (-1, 2), (2, 2)])
+    def test_bad_pairs_raise(self, p4, pair):
+        with pytest.raises(GraphInputError, match="bad fill edge"):
+            apply_fill(p4, [(0, 2), pair])
 
 
 class TestSerialization:

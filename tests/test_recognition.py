@@ -19,9 +19,10 @@ from pigfill import (
     replay_creation_sequence,
     split_partition,
     threshold_creation_sequence,
+    threshold_pig_completion,
 )
 from pigfill import recognition
-from pigfill.generators import gen_caterpillar
+from pigfill.generators import gen_caterpillar, gen_threshold
 
 # Independent checkers for the recognizer's certificates; they read the graph
 # through has_edge only.
@@ -107,6 +108,7 @@ class TestProperInterval:
         for n in range(1, 7):
             for g in _all_graphs(n):
                 verdict = is_proper_interval(g)
+                _assert_claw_verdict(g, verdict)
                 if verdict.is_pig:
                     assert verdict.witness is None
                     assert_umbrella_order(g, verdict.order)
@@ -126,12 +128,54 @@ class TestProperInterval:
         assert verdict.is_pig and len(verdict.order) == h.n
         assert elapsed < 5.0, f"{elapsed:.1f} s"
 
+    def test_completed_threshold_at_800_is_fast(self):
+        g, seq = gen_threshold(800, 0.5, 1)
+        h = apply_fill(g, threshold_pig_completion(g, seq).fill)
+        start = time.perf_counter()
+        verdict = is_proper_interval(h)
+        elapsed = time.perf_counter() - start
+        assert verdict.is_pig and len(verdict.order) == h.n
+        assert elapsed < 2.0, f"{elapsed:.1f} s"
+
     def test_bad_sweep_order_raises(self, p4, monkeypatch):
         # (0, 2, 1, 3) splits N[0] = {0, 1}; p4 has no witness, so the
         # recognizer must fail loudly rather than accept without a certificate
         monkeypatch.setattr(recognition, "_three_sweep_order", lambda g: (0, 2, 1, 3))
         with pytest.raises(AssertionError, match="umbrella"):
             is_proper_interval(p4)
+
+
+def _assert_claw_verdict(g, verdict):
+    """Whenever the claw scan finds a claw, the verdict names exactly that claw."""
+    claw = recognition._find_claw(g.masks, g.n)
+    if claw is not None:
+        assert (verdict.is_pig, verdict.witness_kind, verdict.witness) == (False, "claw", claw)
+
+
+def _refuse_claw_scan(masks, n):
+    raise RuntimeError("the claw scan ran on the accept path")
+
+
+class TestAcceptWithoutClawScan:
+    def test_every_pig_to_6(self, monkeypatch):
+        orders = [(g, v.order) for n in range(7) for g in _all_graphs(n) if (v := is_proper_interval(g)).is_pig]
+        assert len(orders) > 1000
+        monkeypatch.setattr(recognition, "_find_claw", _refuse_claw_scan)
+        for g, order in orders:
+            assert is_proper_interval(g).order == order
+
+    def test_completed_threshold_and_caterpillar(self, monkeypatch):
+        g, seq = gen_threshold(120, 0.5, 2)
+        c, d = gen_caterpillar(200, 3, seed=2)
+        completed = [
+            apply_fill(g, threshold_pig_completion(g, seq).fill),
+            apply_fill(c, caterpillar_pig_completion(c, d).fill),
+        ]
+        monkeypatch.setattr(recognition, "_find_claw", _refuse_claw_scan)
+        for h in completed:
+            verdict = is_proper_interval(h)
+            assert verdict.is_pig
+            assert_umbrella_order(h, verdict.order)
 
 
 class TestThresholdRecognizer:
@@ -263,6 +307,7 @@ class TestPigAgreementSampledAt7:
             mask = rng.randrange(1 << len(pairs))
             g = build_graph(7, [p for i, p in enumerate(pairs) if mask >> i & 1])
             verdict = is_proper_interval(g)
+            _assert_claw_verdict(g, verdict)
             assert verdict.is_pig == (forbidden_subgraph_scan(g, "pig") is None)
             if verdict.is_pig:
                 assert_umbrella_order(g, verdict.order)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations, permutations, product
+
 import pytest
 
 from pigfill import (
@@ -9,14 +11,17 @@ from pigfill import (
     apply_fill,
     brute_min_pig,
     build_graph,
+    creation_sequence_matches,
     enumerate_threshold,
     is_proper_interval,
     maxcut_identity_check,
     partition_cost,
+    replay_creation_sequence,
     threshold_pig_completion,
     threshold_run,
     validate_completion,
 )
+from pigfill.generators import gen_threshold
 
 
 class TestCompletionExamples:
@@ -60,6 +65,53 @@ class TestCompletionExamples:
         bad = CreationSequence(((0, "i"), (1, "i"), (2, "i"), (3, "d")))
         with pytest.raises(GraphInputError):
             threshold_pig_completion(claw, bad)
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            ((0, "x"), (1, "i"), (2, "i"), (3, "d")),  # unknown tag
+            ((1, "i"), (1, "i"), (2, "i"), (0, "d")),  # vertex named twice
+            ((4, "i"), (1, "i"), (2, "i"), (0, "d")),  # vertex out of range
+            ((1, "i"), (2, "i"), (0, "d")),  # too short
+            ((1, "i"), (2, "i"), (3, "i"), (0, "d"), (4, "i")),  # too long
+        ],
+    )
+    def test_malformed_sequence_is_an_input_error(self, claw, steps):
+        with pytest.raises(GraphInputError, match="does not replay to the input graph"):
+            threshold_pig_completion(claw, CreationSequence(steps))
+
+
+def _all_sequences(n):
+    for perm in permutations(range(n)):
+        for tags in product("id", repeat=n):
+            yield CreationSequence(tuple(zip(perm, tags)))
+
+
+class TestSuppliedSequenceCheck:
+    def test_matches_replay_exhaustive_to_4(self):
+        for n in range(5):
+            pairs = list(combinations(range(n), 2))
+            subsets = range(1 << len(pairs))
+            graphs = [build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1]) for mask in subsets]
+            for seq in _all_sequences(n):
+                replayed = replay_creation_sequence(seq)
+                assert [creation_sequence_matches(g, seq) for g in graphs] == [g == replayed for g in graphs]
+
+    def test_matches_replay_near_each_replay_at_5(self):
+        pairs = list(combinations(range(5), 2))
+        for seq in _all_sequences(5):
+            replayed = replay_creation_sequence(seq)
+            assert creation_sequence_matches(replayed, seq)
+            for p in pairs:
+                toggled = build_graph(5, set(replayed.edges()) ^ {p})
+                assert not creation_sequence_matches(toggled, seq), (seq.steps, p)
+
+    def test_generated_sequences_match(self):
+        for seed in range(20):
+            g, seq = gen_threshold(30 + seed, 0.5, seed)
+            assert creation_sequence_matches(g, seq)
+            swapped = CreationSequence(seq.steps[1:2] + seq.steps[:1] + seq.steps[2:])
+            assert creation_sequence_matches(g, swapped) == (replay_creation_sequence(swapped) == g)
 
 
 class TestRunTrace:
