@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from collections import Counter
+from itertools import chain
 
 from .caterpillar import caterpillar_pig_completion
 from .errors import ClassMembershipError, GraphInputError, OracleBudgetError
@@ -308,9 +309,12 @@ def _read_fill(path: str) -> list[tuple[int, int]]:
         if "fill_edges" not in data:
             raise GraphInputError("fill file object has no 'fill_edges' key")
         data = data["fill_edges"]
-    # bool is an int subclass, and int() would truncate floats such as 1.9
-    if not isinstance(data, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair) for pair in data
+    # exact types: bool is an int subclass, and int() would truncate floats such as 1.9
+    if not (
+        isinstance(data, list)
+        and set(map(type, data)) <= {list}
+        and set(map(len, data)) <= {2}
+        and set(map(type, chain.from_iterable(data))) <= {int}
     ):
         raise GraphInputError("fill file must hold [[u, v], ...] pairs of integers")
     return [edge(u, v) for u, v in data]

@@ -62,35 +62,16 @@ def _find_claw(masks: tuple[int, ...] | list[int], n: int) -> tuple[int, int, in
     return None
 
 
-def _mcs_elimination_order(masks, n: int) -> list[int]:
-    """Maximum-cardinality-search visit order, reversed into an elimination order."""
-    weight = [0] * n
-    visited = 0
-    visit: list[int] = []
-    for _ in range(n):
-        best = -1
-        bw = -1
-        for v in range(n):
-            if not visited >> v & 1 and weight[v] > bw:
-                best, bw = v, weight[v]
-        visited |= 1 << best
-        visit.append(best)
-        mm = masks[best] & ~visited
-        while mm:
-            low = mm & -mm
-            weight[low.bit_length() - 1] += 1
-            mm ^= low
-    visit.reverse()
-    return visit
-
-
 def _peo_violation(masks, n: int) -> tuple[int, int, int] | None:
-    """None iff the MCS order is a perfect elimination order (iff chordal).
+    """None iff the reversed LexBFS order is a perfect elimination order (iff chordal).
 
     On failure returns (v, u, w): u, w are later neighbors of v, u the
-    earliest, and w not adjacent to u.
+    earliest, and w not adjacent to u.  The order is the first sweep of the
+    3-sweep test.  As in Tarjan and Yannakakis (*Simple linear-time
+    algorithms to test chordality of graphs*, SIAM J. Comput. 13, 1984), the
+    violation closes a chordless cycle v, u, ..., w (see ``_cycle_through``).
     """
-    order = _mcs_elimination_order(masks, n)
+    order = _lbfs(masks, n)[::-1]
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -144,28 +125,6 @@ def _cycle_through(masks, n: int, v: int, u: int, w: int) -> tuple[int, ...] | N
     return None
 
 
-def _find_chordless_cycle(masks, n: int, hint: tuple[int, int, int] | None = None) -> tuple[int, ...] | None:
-    if hint is not None:
-        cyc = _cycle_through(masks, n, *hint)
-        if cyc is not None:
-            return cyc
-    for v in range(n):
-        nb = []
-        mm = masks[v]
-        while mm:
-            low = mm & -mm
-            nb.append(low.bit_length() - 1)
-            mm ^= low
-        for i, u in enumerate(nb):
-            for w in nb[i + 1 :]:
-                if masks[u] >> w & 1:
-                    continue
-                cyc = _cycle_through(masks, n, v, u, w)
-                if cyc is not None:
-                    return cyc
-    return None
-
-
 def _iter_triangles(masks, n: int):
     # only vertices with a non-neighbor can belong to a net/tent triangle
     full = (1 << n) - 1
@@ -184,57 +143,42 @@ def _iter_triangles(masks, n: int):
                 common ^= lc
 
 
+def _independent_triple(masks, xs: int, ys: int, zs: int) -> tuple[int, int, int] | None:
+    """First pairwise nonadjacent (x, y, z) from the disjoint sets xs, ys, zs."""
+    if not (ys and zs):
+        return None
+    while xs:
+        lx = xs & -xs
+        x = lx.bit_length() - 1
+        xs ^= lx
+        my = ys & ~masks[x]
+        while my:
+            ly = my & -my
+            y = ly.bit_length() - 1
+            my ^= ly
+            mz = zs & ~masks[x] & ~masks[y]
+            if mz:
+                return (x, y, (mz & -mz).bit_length() - 1)
+    return None
+
+
 def _find_net(masks, n: int) -> tuple[int, ...] | None:
     """Triangle with a private pendant on each corner, all pendants independent."""
     for a, b, c in _iter_triangles(masks, n):
-        pa = masks[a] & ~masks[b] & ~masks[c] & ~(1 << b) & ~(1 << c)
-        if not pa:
-            continue
-        pb = masks[b] & ~masks[a] & ~masks[c] & ~(1 << a) & ~(1 << c)
-        pc = masks[c] & ~masks[a] & ~masks[b] & ~(1 << a) & ~(1 << b)
-        if not pb or not pc:
-            continue
-        ma = pa
-        while ma:
-            la = ma & -ma
-            x = la.bit_length() - 1
-            ma ^= la
-            mb = pb & ~masks[x]
-            while mb:
-                lb = mb & -mb
-                y = lb.bit_length() - 1
-                mb ^= lb
-                mc = pc & ~masks[x] & ~masks[y]
-                if mc:
-                    z = (mc & -mc).bit_length() - 1
-                    return (a, b, c, x, y, z)
+        ca, cb, cc = masks[a] | 1 << a, masks[b] | 1 << b, masks[c] | 1 << c
+        triple = _independent_triple(masks, ca & ~cb & ~cc, cb & ~ca & ~cc, cc & ~ca & ~cb)
+        if triple is not None:
+            return (a, b, c) + triple
     return None
 
 
 def _find_tent(masks, n: int) -> tuple[int, ...] | None:
     """Triangle with an independent vertex on each side adjacent to exactly that side."""
     for a, b, c in _iter_triangles(masks, n):
-        qab = masks[a] & masks[b] & ~masks[c] & ~(1 << c)
-        if not qab:
-            continue
-        qbc = masks[b] & masks[c] & ~masks[a] & ~(1 << a)
-        qac = masks[a] & masks[c] & ~masks[b] & ~(1 << b)
-        if not qbc or not qac:
-            continue
-        ma = qab
-        while ma:
-            la = ma & -ma
-            x = la.bit_length() - 1
-            ma ^= la
-            mb = qbc & ~masks[x]
-            while mb:
-                lb = mb & -mb
-                y = lb.bit_length() - 1
-                mb ^= lb
-                mc = qac & ~masks[x] & ~masks[y]
-                if mc:
-                    z = (mc & -mc).bit_length() - 1
-                    return (a, b, c, x, y, z)
+        ca, cb, cc = masks[a] | 1 << a, masks[b] | 1 << b, masks[c] | 1 << c
+        triple = _independent_triple(masks, ca & cb & ~cc, cb & cc & ~ca, ca & cc & ~cb)
+        if triple is not None:
+            return (a, b, c) + triple
     return None
 
 
@@ -362,6 +306,9 @@ def is_proper_interval(g: Graph) -> PigVerdict:
     forbidden-subgraph scan.  A rejected graph gets a witness from the
     forbidden-subgraph characterisation (chordal and free of induced claw,
     net and tent): a claw, then a chordless cycle, then a net, then a tent.
+    The first LexBFS sweep decides chordality: the cycle is closed at the
+    first vertex where the reversed sweep fails as a perfect elimination
+    order (``_peo_violation``).
     """
     order = _three_sweep_order(g)
     if order is not None and _is_umbrella(g.neighbors, order):
@@ -372,9 +319,9 @@ def is_proper_interval(g: Graph) -> PigVerdict:
         return PigVerdict(False, "claw", claw)
     violation = _peo_violation(masks, n)
     if violation is not None:
-        cycle = _find_chordless_cycle(masks, n, hint=violation)
-        if cycle is None:  # pragma: no cover - impossible for non-chordal graphs
-            raise AssertionError("non-chordal graph without a chordless cycle")
+        cycle = _cycle_through(masks, n, *violation)
+        if cycle is None:  # pragma: no cover - a failed LexBFS order closes a cycle
+            raise AssertionError("the LexBFS elimination order failed without a chordless cycle")
         return PigVerdict(False, "chordless-cycle", cycle)
     net = _find_net(masks, n)
     if net is not None:
@@ -574,54 +521,41 @@ def qt_forest_graph(f: QtForest) -> Graph:
     return build_graph(f.n, edges)
 
 
-def _mask_components(masks, mask: int) -> list[int]:
-    comps = []
-    rem = mask
-    while rem:
-        start = rem & -rem
-        comp = start
-        frontier = start
-        while frontier:
-            low = frontier & -frontier
-            v = low.bit_length() - 1
-            frontier ^= low
-            new = masks[v] & mask & ~comp
-            comp |= new
-            frontier |= new
-        comps.append(comp)
-        rem &= ~comp
-    return comps
-
-
 def quasi_threshold_forest(g: Graph) -> QtForest | None:
     """Certifying forest of a quasi-threshold graph, or None.
 
-    Per connected piece the smallest universal vertex becomes the root, then
-    the remainder's pieces are rooted recursively.  A piece with no universal
-    vertex disproves membership.
+    The degree-order rule of Yan, Chen and Chang (*Quasi-threshold graphs*,
+    Discrete Appl. Math. 69, 1996): vertices are taken by degree, highest
+    first and ties by smallest id, and each vertex's parent is its neighbour
+    taken last before it.  A vertex passes when its earlier neighbours are
+    exactly its parent and the parent's ancestors: there are depth(parent) + 1
+    of them and every ancestor of the parent is one.  When all vertices pass,
+    the edges are exactly the ancestor pairs.  The root of each connected
+    piece is its smallest universal vertex.  O(n + m) on the neighbour tuples
+    after the degree sort.
     """
-    n = g.n
-    masks = g.masks
+    n, neighbors = g.n, g.neighbors
+    rank = [-1] * n
     parents: list[int | None] = [None] * n
-    stack = [(comp, None) for comp in reversed(_mask_components(masks, (1 << n) - 1))]
-    while stack:
-        comp, par = stack.pop()
-        size = comp.bit_count()
-        root = -1
-        mm = comp
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            mm ^= low
-            if (masks[v] & comp).bit_count() == size - 1:
-                root = v
-                break
-        if root < 0:
+    depth = [0] * n
+    seen_by = [-1] * n
+    for i, v in enumerate(sorted(range(n), key=list(map(len, neighbors)).__getitem__, reverse=True)):
+        rank[v] = i
+        earlier = [w for w in neighbors[v] if rank[w] >= 0]
+        if not earlier:
+            continue
+        p = max(earlier, key=rank.__getitem__)
+        if len(earlier) != depth[p] + 1:
             return None
-        parents[root] = par  # type: ignore[assignment]
-        rest = comp & ~(1 << root)
-        if rest:
-            stack.extend((sub, root) for sub in reversed(_mask_components(masks, rest)))
+        for w in earlier:
+            seen_by[w] = v
+        a = parents[p]
+        while a is not None:
+            if seen_by[a] != v:
+                return None
+            a = parents[a]
+        parents[v] = p
+        depth[v] = len(earlier)
     return forest_from_parents(parents)
 
 

@@ -313,6 +313,14 @@ class TestPigAgreementSampledAt7:
                 assert_umbrella_order(g, verdict.order)
 
 
+class TestPigMaskCheck:
+    def test_matches_scan_to_6(self):
+        # the exhaustive oracle's proper-interval test, against the quartic scan
+        for n in range(7):
+            for g in _all_graphs(n):
+                want = forbidden_subgraph_scan(g, "pig") is None
+                assert recognition.pig_mask_check(g.masks, g.n) == want, g.edges()
+
 
 # Reference copies of the bitmask probes that the O(n + m) recognizers
 # replaced; the sparse versions must return the same certificates.
@@ -349,6 +357,38 @@ def _threshold_sequence_on_masks(g):
             return None
         size -= 1
     return tuple(reversed(peel))
+
+
+def _qt_forest_on_masks(g):
+    """Parent tuple from rooting each connected piece at its smallest universal vertex, recursively."""
+    n, masks = g.n, g.masks
+
+    def pieces(mask):
+        out = []
+        while mask:
+            comp = frontier = mask & -mask
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = masks[low.bit_length() - 1] & mask & ~comp
+                comp |= new
+                frontier |= new
+            out.append(comp)
+            mask &= ~comp
+        return out
+
+    parents = [None] * n
+    stack = [(comp, None) for comp in pieces((1 << n) - 1)]
+    while stack:
+        comp, par = stack.pop()
+        size = comp.bit_count()
+        universal = [v for v in range(n) if comp >> v & 1 and (masks[v] & comp).bit_count() == size - 1]
+        if not universal:
+            return None
+        root = universal[0]
+        parents[root] = par
+        stack.extend((sub, root) for sub in pieces(comp & ~(1 << root)))
+    return tuple(parents)
 
 
 def _caterpillar_on_masks(g):
@@ -394,6 +434,8 @@ def _assert_probes_match_reference(g):
     assert (None if seq is None else seq.steps) == _threshold_sequence_on_masks(g), g.edges()
     d = caterpillar_decomposition(g)
     assert (None if d is None else (d.spine, d.buckets)) == _caterpillar_on_masks(g), g.edges()
+    f = quasi_threshold_forest(g)
+    assert (None if f is None else f.parent) == _qt_forest_on_masks(g), g.edges()
 
 
 def _relabelled(g, seed):
@@ -420,14 +462,18 @@ class TestSparseProbesMatchMaskReference:
             _assert_probes_match_reference(build_graph(7, [p for i, p in enumerate(pairs) if mask >> i & 1]))
 
     def test_generated_members(self):
-        from pigfill.generators import gen_threshold
+        from pigfill.generators import gen_quasi_threshold, gen_threshold
 
         for seed in range(60):
             g, _ = gen_threshold(5 + seed, 0.5, seed)
             c, _ = gen_caterpillar(1 + seed % 30, 3, seed)
+            q, _ = gen_quasi_threshold(1 + seed, seed)
             for h in (g, _relabelled(g, seed)):
                 assert threshold_creation_sequence(h) is not None
                 _assert_probes_match_reference(h)
             for h in (c, _relabelled(c, seed)):
                 assert caterpillar_decomposition(h) is not None
+                _assert_probes_match_reference(h)
+            for h in (q, _relabelled(q, seed)):
+                assert quasi_threshold_forest(h) is not None
                 _assert_probes_match_reference(h)
