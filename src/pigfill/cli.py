@@ -132,7 +132,7 @@ def _dumps(obj, depth: int = 0) -> str:
 
 
 def _envelope(g: Graph, result: CompletionResult, runtime_ms: float, sequence: dict | None, digest: bool) -> dict:
-    """The ``complete`` envelope; fill pairs and certificates stay tuples, which encode as lists.
+    """The ``complete`` envelope; the ascending fill and the certificates stay tuples, which encode as lists.
 
     The text output prints no input digest, so ``digest=False`` leaves it out.
     """
@@ -141,7 +141,7 @@ def _envelope(g: Graph, result: CompletionResult, runtime_ms: float, sequence: d
         "input": {"digest": _digest(g) if digest else None, "n": g.n, "m": g.m},
         "algorithm": result.algorithm,
         "cost": result.cost,
-        "fill_edges": sorted_edges(result.fill) if result.fill is not None else None,
+        "fill_edges": result.fill,
         "runtime_ms": round(runtime_ms, 3),
     }
     cert = result.certificate
@@ -215,7 +215,7 @@ def _cmd_complete(args) -> int:
             *first, last = (row["name"] for row in _COMPLETABLE)
             raise ClassMembershipError(f"{', '.join(first)} or {last} (and too large for the oracle)")
         cost, fill = brute_min_pig(g, OracleBudget(max_vertices=args.max_n))
-        result = CompletionResult(None if args.cost_only else fill, cost, None, "oracle")
+        result = CompletionResult(None if args.cost_only else tuple(sorted_edges(fill)), cost, None, "oracle")
     runtime_ms = (time.perf_counter() - start) * 1000.0
     env = _envelope(g, result, runtime_ms, sequence, digest=args.json)
     if args.json:

@@ -4,9 +4,10 @@ Vertices are the integers ``0..n-1``.  A graph is its sorted neighbour tuples;
 the n-bit bitmask rows that the small-n scans use are built on first read of
 ``Graph.masks`` and cached, so sparse inputs never pay O(n^2) bits unless a
 mask-based routine runs on them.  Every operation returns a new value;
-nothing here mutates.  Edge sets are plain ``frozenset``s of ``(u, v)`` pairs
-in canonical ``u < v`` form, sorted lexicographically whenever they are
-serialized or printed.
+nothing here mutates.  Edges are ``(u, v)`` pairs in canonical ``u < v`` form.
+A completion's fill is a strictly ascending tuple of such pairs, built in
+that order, so it is serialized as it is; only the brute-force oracle's fill
+is a ``frozenset`` and is sorted when written out.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse, islice, repeat
+from operator import lt
 from typing import Iterable, Iterator
 
 from .errors import GraphInputError
@@ -30,6 +33,11 @@ def edge(u: int, v: int) -> Edge:
 
 def sorted_edges(edges: Iterable[Edge]) -> list[Edge]:
     return sorted(edges)
+
+
+def strictly_ascending(pairs: tuple[Edge, ...]) -> bool:
+    """True iff every pair is less than the next one: sorted, with no repeat."""
+    return all(map(lt, pairs, islice(pairs, 1, None)))
 
 
 @dataclass(frozen=True)
@@ -166,17 +174,18 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return comps
 
 
-def non_edges_within(g: Graph, s: Iterable[int]) -> EdgeSet:
-    """All unordered pairs within ``s`` that are not edges of g."""
+def non_edges_within(g: Graph, s: Iterable[int]) -> tuple[Edge, ...]:
+    """All pairs ``u < v`` within ``s`` that are not edges of g, in ascending order.
+
+    Reads the neighbour tuples only; no bitmask row is built.
+    """
     keep = sorted(set(s))
     _check_subset(g, keep)
-    out = set()
+    neighbors = g.neighbors
+    out: list[Edge] = []
     for i, u in enumerate(keep):
-        mu = g.masks[u]
-        for v in keep[i + 1 :]:
-            if not mu >> v & 1:
-                out.add((u, v))
-    return frozenset(out)
+        out.extend(zip(repeat(u), filterfalse(set(neighbors[u]).__contains__, keep[i + 1 :])))
+    return tuple(out)
 
 
 def _check_subset(g: Graph, s: list[int]) -> None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClassMembershipError, GraphInputError
-from .graph import Graph, non_edges_within
+from .graph import Graph, non_edges_within, strictly_ascending
 from .oracle import forbidden_subgraph_scan
 from .recognition import (
     QtForest,
@@ -174,7 +174,8 @@ def qt_cobipartite_completion(
     Computes the rooted forest if not supplied; a supplied one must rebuild g.
     The cost is a lower bound for the minimum proper-interval completion; the
     result is labeled accordingly.  Ties resolve to the smallest side-1 size.
-    With ``cost_only`` the fill is not materialized and ``fill`` is None.
+    The fill is an ascending tuple; with ``cost_only`` it is not materialized
+    and ``fill`` is None.
     """
     if forest is None:
         forest = quasi_threshold_forest(g)
@@ -191,9 +192,12 @@ def qt_cobipartite_completion(
         raise AssertionError("backtracked side size disagrees with the argmin")
     fill = None
     if not cost_only:
-        fill = non_edges_within(g, s1) | non_edges_within(g, s2)
+        # each side's pairs are one ascending run, which timsort merges in linear time
+        fill = tuple(sorted(non_edges_within(g, s1) + non_edges_within(g, s2)))
         if len(fill) != cost:
             raise AssertionError("DP cost disagrees with the materialized fill")
+        if not strictly_ascending(fill):
+            raise AssertionError("materialized fill repeats a pair")
     return CompletionResult(
         fill,
         cost,

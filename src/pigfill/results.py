@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import EdgeSet, Graph, non_edges_within
+from .graph import Edge, Graph, non_edges_within, strictly_ascending
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,15 @@ Certificate = CliqueBipartition | PointPlacement
 
 @dataclass(frozen=True)
 class CompletionResult:
-    """A set of fill edges, its size, and the structure that produced it.
+    """Fill edges, their number, and the structure that produced them.
 
-    ``fill`` is None only in cost-only mode.  For a CliqueBipartition
-    certificate the fill is exactly the non-edges inside the two parts; any
-    vertex outside both parts was isolated in the input and untouched.
+    ``fill`` is a strictly ascending tuple of canonical ``u < v`` pairs, or
+    None only in cost-only mode.  For a CliqueBipartition certificate the fill
+    is exactly the non-edges inside the two parts; any vertex outside both
+    parts was isolated in the input and untouched.
     """
 
-    fill: EdgeSet | None
+    fill: tuple[Edge, ...] | None
     cost: int
     certificate: Certificate | None
     algorithm: str
@@ -52,15 +53,20 @@ class CompletionResult:
 
 def validate_completion(g: Graph, result: CompletionResult) -> None:
     """Raise ValueError when a result's fill/cost/certificate are inconsistent."""
-    if result.fill is None:
+    fill = result.fill
+    if fill is None:
         return
-    if result.cost != len(result.fill):
-        raise ValueError(f"cost {result.cost} != |fill| {len(result.fill)}")
-    for u, v in result.fill:
-        if g.has_edge(u, v):
-            raise ValueError(f"fill edge ({u}, {v}) already in the graph")
+    if not isinstance(fill, tuple):
+        raise ValueError(f"fill is a {type(fill).__name__}, not an ascending tuple")
+    if result.cost != len(fill):
+        raise ValueError(f"cost {result.cost} != |fill| {len(fill)}")
+    for u, v in fill:
         if not (0 <= u < v < g.n):
             raise ValueError(f"fill edge ({u}, {v}) not canonical for n={g.n}")
+        if g.has_edge(u, v):
+            raise ValueError(f"fill edge ({u}, {v}) already in the graph")
+    if not strictly_ascending(fill):
+        raise ValueError("fill pairs are not strictly ascending")
     cert = result.certificate
     if isinstance(cert, CliqueBipartition):
         s1, s2 = set(cert.s1), set(cert.s2)
@@ -69,11 +75,10 @@ def validate_completion(g: Graph, result: CompletionResult) -> None:
         outside = set(range(g.n)) - s1 - s2
         if any(g.degree(v) > 0 for v in outside):
             raise ValueError("non-isolated vertex missing from both parts")
-        want = non_edges_within(g, s1) | non_edges_within(g, s2)
-        if want != result.fill:
+        if tuple(sorted(non_edges_within(g, s1) + non_edges_within(g, s2))) != fill:
             raise ValueError("fill does not match the non-edges inside the parts")
     elif isinstance(cert, PointPlacement):
         from .caterpillar import materialize_fill_edges
 
-        if materialize_fill_edges(g, cert) != result.fill:
+        if materialize_fill_edges(g, cert) != fill:
             raise ValueError("fill does not match the point placement")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClassMembershipError, GraphInputError
-from .graph import Graph, complement, induced_subgraph, non_edges_within
+from .graph import Graph, complement, induced_subgraph, non_edges_within, strictly_ascending
 from .oracle import OracleBudget, brute_max_cut, forbidden_subgraph_scan
 from .recognition import (
     DOMINATING,
@@ -89,9 +89,9 @@ def threshold_pig_completion(
 ) -> CompletionResult:
     """Minimum proper-interval completion of a threshold graph.
 
-    Returns the fill edges (non-edges inside the two sides), the cost, and the
-    CliqueBipartition certificate.  With ``cost_only`` the fill is not
-    materialized and ``fill`` is None.
+    Returns the fill edges (non-edges inside the two sides, as an ascending
+    tuple), the cost, and the CliqueBipartition certificate.  With
+    ``cost_only`` the fill is not materialized and ``fill`` is None.
     """
     run = threshold_run(g, sequence)
     s1 = tuple(sorted(v for (v, _), s in zip(run.sequence.steps, run.side) if s == 1))
@@ -99,10 +99,13 @@ def threshold_pig_completion(
     cert = CliqueBipartition(s1, s2)
     if cost_only:
         return CompletionResult(None, run.cost, cert, "threshold")
-    fill = non_edges_within(g, s1) | non_edges_within(g, s2)
+    # each side's pairs are one ascending run, which timsort merges in linear time
+    fill = tuple(sorted(non_edges_within(g, s1) + non_edges_within(g, s2)))
     if len(fill) != run.cost:
         raise AssertionError("incremental cost disagrees with materialized fill")
-    return CompletionResult(frozenset(fill), run.cost, cert, "threshold")
+    if not strictly_ascending(fill):
+        raise AssertionError("materialized fill repeats a pair")
+    return CompletionResult(fill, run.cost, cert, "threshold")
 
 
 def partition_cost(g: Graph, parts: tuple[tuple[int, ...], tuple[int, ...]]) -> int:

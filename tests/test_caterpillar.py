@@ -25,6 +25,7 @@ from pigfill import (
     threshold_pig_completion,
     validate_completion,
 )
+from pigfill.caterpillar import _describes
 from pigfill.generators import gen_caterpillar
 
 
@@ -53,7 +54,7 @@ class TestCompletion:
     def test_p5_free(self):
         g, _ = caterpillar_from_buckets([0, 0, 0, 0, 0])
         res = caterpillar_pig_completion(g)
-        assert res.cost == 0 and res.fill == frozenset()
+        assert res.cost == 0 and res.fill == ()
 
     def test_star5_matches_threshold(self, star5):
         res = caterpillar_pig_completion(star5)
@@ -113,24 +114,71 @@ class TestCompletion:
         assert elapsed < 5.0, f"{elapsed:.1f} s"
 
 
+class TestSuppliedDecompositionChecks:
+    """Each case breaks one rule of the O(n) check and keeps the others."""
+
+    @pytest.fixture
+    def base(self):
+        return caterpillar_from_buckets([2, 1, 1])  # spine 0-1-2, leaves (3, 4), (5,), (6,)
+
+    def test_exact_decomposition_accepted(self, base):
+        g, d = base
+        assert _describes(d, g)
+        assert caterpillar_pig_completion(g, d) == caterpillar_pig_completion(g)
+
+    @pytest.mark.parametrize(
+        "spine, buckets",
+        [
+            ((0, 1, 2), ((3, 3), (5,), (6,))),  # 3 named twice, so 4 is missing
+            ((0, 1, 2), ((3, 7), (5,), (6,))),  # 7 out of range for n = 7
+            ((0, 1, 2), ((3,), (4, 5), (6,))),  # leaf 4 under the wrong spine vertex
+            ((0, 2, 1), ((3, 4), (6,), (5,))),  # spine 0-2 is not an edge
+        ],
+        ids=["named-twice", "out-of-range", "wrong-bucket", "spine-gap"],
+    )
+    def test_rejected(self, base, spine, buckets):
+        g, _ = base
+        d = CaterpillarDecomposition(spine, buckets)
+        assert not _describes(d, g)
+        with pytest.raises(GraphInputError):
+            caterpillar_pig_completion(g, d)
+
+    def test_unnamed_isolated_vertex_rejected(self, base):
+        g, d = base
+        # vertex 7 is isolated, so the edge count still matches
+        assert not _describes(d, build_graph(8, g.edges()))
+
+    def test_extra_edge_rejected_by_count(self, base):
+        g, d = base
+        # every pair d describes is still an edge; only the count is off
+        plus = apply_fill(g, [(0, 2)])
+        assert not _describes(d, plus)
+        with pytest.raises(GraphInputError):
+            caterpillar_pig_completion(plus, d)
+
+
 class TestMaterialize:
     def test_p4_identity_placement(self, p4):
         d = caterpillar_decomposition(p4)
         placement = placement_from_tables(d, build_placement_tables(d))
-        assert materialize_fill_edges(p4, placement) == frozenset()
+        assert materialize_fill_edges(p4, placement) == ()
 
     def test_claw_split_one_two(self, claw):
         placement = PointPlacement(spine=(0,), points=((1, 0), (2, 1), (3, 1)))
-        assert materialize_fill_edges(claw, placement) == {(2, 3)}
+        assert materialize_fill_edges(claw, placement) == ((2, 3),)
 
     def test_double_star_hand_placement(self):
         g, _ = caterpillar_from_buckets([2, 2])  # spine 0-1, leaves 2,3 and 4,5
         placement = PointPlacement(spine=(0, 1), points=((2, 0), (3, 0), (4, 1), (5, 2)))
-        assert materialize_fill_edges(g, placement) == {(2, 3), (0, 4)}
+        assert materialize_fill_edges(g, placement) == ((0, 4), (2, 3))
 
     def test_rejects_spine_vertex_as_leaf(self, p4):
         with pytest.raises(GraphInputError):
             materialize_fill_edges(p4, PointPlacement(spine=(1, 2), points=((1, 0),)))
+
+    def test_rejects_leaf_placed_twice(self, claw):
+        with pytest.raises(GraphInputError):
+            materialize_fill_edges(claw, PointPlacement(spine=(0,), points=((1, 0), (1, 1), (2, 1), (3, 1))))
 
     def test_rejects_out_of_range_point(self, claw):
         with pytest.raises(GraphInputError):

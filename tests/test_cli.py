@@ -7,7 +7,15 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pigfill import caterpillar_decomposition, quasi_threshold_forest, threshold_creation_sequence
+from pigfill import (
+    caterpillar_decomposition,
+    gen_caterpillar,
+    gen_quasi_threshold,
+    gen_threshold,
+    quasi_threshold_forest,
+    serialize_graph,
+    threshold_creation_sequence,
+)
 from pigfill.cli import _dumps, main
 
 CLAW = "4\n0 1\n0 2\n0 3\n"
@@ -328,6 +336,31 @@ class TestDigestOnlyForJson:
         for argv in runs:
             with pytest.raises(RuntimeError):
                 main(argv + ["--json"])
+
+
+class TestFillNotSortedAtSerialization:
+    @pytest.mark.parametrize(
+        "make, algo",
+        [
+            (lambda: gen_threshold(30, 0.5, 2), "threshold"),
+            (lambda: gen_caterpillar(12, 3, 2), "caterpillar"),
+            (lambda: gen_quasi_threshold(40, 2), "qt-cobipartite"),
+        ],
+        ids=["threshold", "caterpillar", "quasi-threshold"],
+    )
+    def test_complete_json_never_sorts(self, capsys, monkeypatch, tmp_path, make, algo):
+        import pigfill.cli as cli
+
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_graph(make()[0]))
+
+        def refuse(edges):
+            raise RuntimeError("the completer's fill was sorted again")
+
+        monkeypatch.setattr(cli, "sorted_edges", refuse)
+        code, env = run_json(capsys, ["complete", "--json", str(path)])
+        assert code == 0 and env["algorithm"] == algo
+        assert env["fill_edges"] and env["fill_edges"] == sorted(env["fill_edges"])
 
 
 class TestSchemaConformance:

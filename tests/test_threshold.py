@@ -28,12 +28,12 @@ class TestCompletionExamples:
     def test_p3_free(self):
         p3 = build_graph(3, [(0, 2), (1, 2)])
         res = threshold_pig_completion(p3)
-        assert res.cost == 0 and res.fill == frozenset()
+        assert res.cost == 0 and res.fill == ()
 
     def test_claw(self, claw):
         res = threshold_pig_completion(claw)
         assert res.cost == 1
-        assert res.fill == {(1, 2)}
+        assert res.fill == ((1, 2),)
         # first-added leaf shares a side with the center
         assert res.certificate.s1 == (0, 3) and res.certificate.s2 == (1, 2)
         assert res.cost == brute_min_pig(claw)[0]
@@ -154,7 +154,7 @@ class TestDisconnectedInputs:
     def test_edgeless_graph(self):
         g = build_graph(4, [])
         res = threshold_pig_completion(g)
-        assert res.cost == 0 and res.fill == frozenset()
+        assert res.cost == 0 and res.fill == ()
         assert res.certificate.s1 == () and res.certificate.s2 == ()
 
 
