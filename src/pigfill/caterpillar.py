@@ -105,17 +105,18 @@ def materialize_fill_edges(g: Graph, p: PointPlacement) -> tuple[Edge, ...]:
         groups.setdefault(point, []).append(leaf)
     if len({leaf for leaf, _ in p.points}) != len(p.points):
         raise GraphInputError("a leaf is placed more than once")
+    nb = g.neighbors  # a leaf's tuple has one entry, so each membership test is O(1)
     fill: list[Edge] = []
     for point, group in groups.items():
         for a_idx, a in enumerate(group):
             for b in group[a_idx + 1 :]:
-                if not g.has_edge(a, b):
+                if b not in nb[a]:
                     fill.append(edge(a, b))
         for idx in (point - 1, point):
             if 0 <= idx <= k:
                 sv = p.spine[idx]
                 for a in group:
-                    if not g.has_edge(a, sv):
+                    if sv not in nb[a]:
                         fill.append(edge(a, sv))
     fill.sort()
     return tuple(fill)

@@ -9,6 +9,7 @@ or verification rejected, 2 parse/input error, 3 oracle budget refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -364,6 +365,7 @@ def _cmd_xcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one tree serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pigfill",

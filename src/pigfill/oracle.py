@@ -1,9 +1,11 @@
 """Exhaustive reference solvers used as ground truth in tests and cross-checks.
 
-These deliberately enumerate the whole search space (fill-edge subsets,
-bipartitions, vertex subsets) and never share code with the fast algorithms
-they certify.  Budgets make the exponential cost explicit: inputs over budget
-are refused, never truncated.
+These search the whole space (fill-edge subsets, bipartitions, vertex
+subsets) and never share code with the fast algorithms they certify.  The PIG
+oracle skips only branches that leave an induced claw or chordless C4 unfixed,
+which no answer can do; the other searches enumerate everything.  Budgets make
+the exponential cost explicit: inputs over budget are refused, never
+truncated.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import OracleBudgetError
-from .graph import EdgeSet, Graph, iter_non_edges
+from .graph import Edge, EdgeSet, Graph, iter_non_edges
 from .recognition import pig_mask_check
 
 
@@ -39,25 +41,114 @@ def brute_min_pig(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Ed
     """Minimum proper-interval completion by escalating fill size.
 
     For k = 0, 1, 2, ... the k-subsets of non-edges are tried in lexicographic
-    order and the first passing subset is returned, so the witness is
-    deterministic.
+    order and the first subset that passes ``pig_mask_check`` is returned, so
+    the witness is deterministic.
+
+    The subsets are walked depth first, one ascending non-edge index per level,
+    and a branch is skipped only when it holds no passing subset.  Proper
+    interval graphs are claw-free and chordal, and every induced subgraph of
+    one is again proper interval.  So when the graph built so far has an
+    induced claw or C4 on the vertex set O, a passing subset must add an edge
+    inside O: one of the non-edges NE(O) whose index is at least the next
+    index p still allowed.  The next pick therefore never exceeds the largest
+    such index, only members of NE(O) are tried as the last pick, and a branch
+    with no such index is dead.  A child keeps its parent's O while its pick
+    misses NE(O), since that leaves G[O] unchanged.  Picks are tried in
+    ascending order and no skipped branch holds a passing subset, so the first
+    subset accepted is the one plain enumeration would return.
     """
     budget = budget or OracleBudget(max_vertices=8)
     _require(g.n, budget, "brute_min_pig")
-    non_edges = list(iter_non_edges(g))
-    base = list(g.masks)
     n = g.n
+    non_edges = list(iter_non_edges(g))
+    inc = [0] * n  # inc[v]: bits of the non-edge indices at v
+    for i, (u, v) in enumerate(non_edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    masks = list(g.masks)
     for k in range(len(non_edges) + 1):
         if budget.max_fill is not None and k > budget.max_fill:
             raise OracleBudgetError(f"no completion within the fill cap {budget.max_fill}")
-        for combo in combinations(non_edges, k):
-            masks = base.copy()
-            for u, v in combo:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            if pig_mask_check(masks, n):
-                return k, frozenset(combo)
+        picks = _first_picks(masks, n, non_edges, inc, 0, k, 0)
+        if picks is not None:
+            return k, frozenset(non_edges[i] for i in picks)
     raise AssertionError("unreachable: the complete graph is proper interval")
+
+
+def _first_picks(
+    masks: list[int], n: int, non_edges: list[Edge], inc: list[int], p: int, rem: int, need: int
+) -> tuple[int, ...] | None:
+    """Lexicographically first ``rem`` ascending non-edge indices from p on whose
+    edges, added to ``masks``, pass ``pig_mask_check``; None if there are none.
+
+    ``need`` holds the bits of NE(O) for an induced claw or C4 on O in
+    ``masks`` (every index when there is none), or 0 when it is still to be
+    found.  ``masks`` is restored before returning.
+    """
+    if rem == 0:
+        return () if pig_mask_check(masks, n) else None
+    total = len(non_edges)
+    if not need:
+        ob = _claw_or_c4(masks, n)
+        need = (1 << total) - 1 if ob is None else _non_edges_inside(ob, inc)
+    live = need >> p << p
+    if not live:
+        return None
+    for e in range(p, min(live.bit_length() - 1, total - rem) + 1):
+        hit = need >> e & 1
+        if rem == 1 and not hit:
+            continue
+        u, v = non_edges[e]
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
+        rest = _first_picks(masks, n, non_edges, inc, e + 1, rem - 1, 0 if hit else need)
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
+        if rest is not None:
+            return (e, *rest)
+    return None
+
+
+def _non_edges_inside(vertices: int, inc: list[int]) -> int:
+    """Bits of the non-edge indices with both ends in the vertex mask."""
+    out = 0
+    seen = 0
+    while vertices:
+        low = vertices & -vertices
+        vertices ^= low
+        row = inc[low.bit_length() - 1]
+        out |= row & seen
+        seen |= row
+    return out
+
+
+def _claw_or_c4(masks, n: int) -> int | None:
+    """Vertex mask of an induced claw of the rows, else of an induced C4, else None."""
+    for c in range(n):
+        rest = masks[c]
+        while rest:
+            a = rest & -rest
+            rest ^= a
+            pair = rest & ~masks[a.bit_length() - 1]
+            while pair:
+                b = pair & -pair
+                pair ^= b
+                third = pair & ~masks[b.bit_length() - 1]
+                if third:
+                    return 1 << c | a | b | (third & -third)
+    for a in range(n):
+        far = ~masks[a] >> (a + 1) << (a + 1) & ((1 << n) - 1)
+        while far:
+            b = far & -far
+            far ^= b
+            common = masks[a] & masks[b.bit_length() - 1]
+            while common:
+                x = common & -common
+                common ^= x
+                y = common & ~masks[x.bit_length() - 1]
+                if y:
+                    return 1 << a | b | x | (y & -y)
+    return None
 
 
 # ---------------------------------------------------------------------------

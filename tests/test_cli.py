@@ -16,7 +16,7 @@ from pigfill import (
     serialize_graph,
     threshold_creation_sequence,
 )
-from pigfill.cli import _dumps, main
+from pigfill.cli import _build_parser, _dumps, main
 
 CLAW = "4\n0 1\n0 2\n0 3\n"
 P4 = "4\n0 1\n1 2\n2 3\n"
@@ -175,6 +175,17 @@ class TestComplete:
         code, env = run_json(capsys, ["complete", "--json", "--algo", algo, str(path)])
         assert code == 0 and env["algorithm"] == expected
         assert probe_counts and max(probe_counts.values()) == 1, dict(probe_counts)
+
+
+class TestParserBuiltOnce:
+    def test_one_parser_serves_every_call(self, capsys, claw_file):
+        assert _build_parser() is _build_parser()
+        assert main(["oracle", "pig", claw_file]) == 0
+        first = capsys.readouterr().out
+        assert main(["oracle", "maxcut", "--max-n", "5", claw_file]) == 0
+        capsys.readouterr()
+        assert main(["oracle", "pig", claw_file]) == 0
+        assert capsys.readouterr().out == first
 
 
 class TestRecognize:

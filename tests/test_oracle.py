@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -15,10 +16,48 @@ from pigfill import (
     build_graph,
     forbidden_subgraph_scan,
     is_proper_interval,
+    iter_non_edges,
     non_edges_within,
 )
+from pigfill.oracle import _claw_or_c4
+from pigfill.recognition import pig_mask_check
 
 from test_graph import graphs
+
+
+def _plain_min_pig(g):
+    """Reference for ``brute_min_pig``: every k-subset of non-edges in
+    lexicographic order, with no pruning."""
+    non_edges = list(iter_non_edges(g))
+    base = list(g.masks)
+    for k in range(len(non_edges) + 1):
+        for combo in combinations(non_edges, k):
+            masks = base.copy()
+            for u, v in combo:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            if pig_mask_check(masks, g.n):
+                return k, frozenset(combo)
+    raise AssertionError("unreachable: the complete graph is proper interval")
+
+
+def _all_graphs(max_n):
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def _star(k):
+    return build_graph(k + 1, [(0, leaf) for leaf in range(1, k + 1)])
+
+
+def _is_claw_or_c4(g, quad):
+    """Checker on ``has_edge`` alone: the four vertices induce a claw or a C4."""
+    adjacent = [(a, b) for a, b in combinations(quad, 2) if g.has_edge(a, b)]
+    degrees = sorted(sum(v in pair for pair in adjacent) for v in quad)
+    # on four vertices, degrees 1, 1, 1, 3 are only the claw and 2, 2, 2, 2 only C4
+    return degrees in ([1, 1, 1, 3], [2, 2, 2, 2])
 
 
 class TestBruteMinPig:
@@ -45,6 +84,42 @@ class TestBruteMinPig:
         with pytest.raises(OracleBudgetError):
             brute_min_pig(claw, OracleBudget(max_vertices=8, max_fill=0))
 
+    def test_star_k8_two_cliques(self):
+        cost, fill = brute_min_pig(_star(8), OracleBudget(max_vertices=9))
+        assert cost == 12  # C(4,2) + C(4,2): leaves split into two cliques of four
+        assert fill == {*combinations(range(1, 5), 2), *combinations(range(5, 9), 2)}
+
+
+class TestPrunedSearchMatchesPlain:
+    """The pruned search returns exactly the plain enumeration's (cost, fill)."""
+
+    def test_every_graph_up_to_5(self):
+        for g in _all_graphs(5):
+            assert brute_min_pig(g) == _plain_min_pig(g), g
+
+    def test_seeded_sample_6_to_8(self):
+        rng = random.Random(20211)
+        for _ in range(400):
+            n = rng.randint(6, 8)
+            p = rng.random()
+            g = build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            assert brute_min_pig(g) == _plain_min_pig(g), g
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_stars(self, k):
+        assert brute_min_pig(_star(k)) == _plain_min_pig(_star(k))
+
+
+class TestClawOrC4:
+    def test_every_graph_up_to_5(self):
+        for g in _all_graphs(5):
+            found = _claw_or_c4(list(g.masks), g.n)
+            if found is None:
+                assert not any(_is_claw_or_c4(g, q) for q in combinations(range(g.n), 4)), g
+            else:
+                quad = tuple(v for v in range(g.n) if found >> v & 1)
+                assert len(quad) == 4 and _is_claw_or_c4(g, quad), (g, quad)
+
 
 class TestBruteMinCobipartite:
     def test_k2_trivial(self):
@@ -64,11 +139,8 @@ class TestBruteMinCobipartite:
         assert cost == _cobipartite_by_direct_enumeration(c5)
 
     def test_matches_direct_enumeration_small(self):
-        for n in range(1, 6):
-            pairs = list(combinations(range(n), 2))
-            for mask in range(1 << len(pairs)):
-                g = build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-                assert brute_min_cobipartite(g)[0] == _cobipartite_by_direct_enumeration(g)
+        for g in _all_graphs(5):
+            assert brute_min_cobipartite(g)[0] == _cobipartite_by_direct_enumeration(g)
 
     def test_budget(self):
         with pytest.raises(OracleBudgetError):
