@@ -57,6 +57,7 @@ from .recognition import (
     creation_sequence_matches,
     forest_from_parents,
     is_proper_interval,
+    is_umbrella_order,
     qt_forest_graph,
     quasi_threshold_forest,
     replay_creation_sequence,

@@ -32,7 +32,7 @@ class PlacementTables:
     """Right-to-left DP rows plus argmin records for backtracking."""
 
     rows: tuple[tuple[int, ...], ...]
-    choice: dict[tuple[int, int], int]  # (i, j) -> left-son count of bucket i+1
+    choice: tuple[tuple[int, ...], ...]  # choice[i][j]: left-son count of bucket i+1
     answer: int
     best_j0: int
     eval_count: int
@@ -46,9 +46,10 @@ def build_placement_tables(d: CaterpillarDecomposition) -> PlacementTables:
     rows: list[tuple[int, ...]] = [()] * (k + 1)
     rows[k] = tuple(comb(sizes[k] - j, 2) for j in range(sizes[k] + 1))
     evals += sizes[k] + 1
-    choice: dict[tuple[int, int], int] = {}
+    choice: list[tuple[int, ...]] = [()] * k
     for i in range(k - 1, -1, -1):
         row = []
+        picks = []
         nxt = rows[i + 1]
         for j in range(sizes[i] + 1):
             best = None
@@ -59,8 +60,9 @@ def build_placement_tables(d: CaterpillarDecomposition) -> PlacementTables:
                 if best is None or val < best:
                     best, best_jp = val, jp
             row.append(best)
-            choice[(i, j)] = best_jp
+            picks.append(best_jp)
         rows[i] = tuple(row)  # type: ignore[assignment]
+        choice[i] = tuple(picks)
     answer = None
     best_j0 = 0
     for j in range(sizes[0] + 1):
@@ -70,20 +72,25 @@ def build_placement_tables(d: CaterpillarDecomposition) -> PlacementTables:
             answer, best_j0 = val, j
     if answer is None:
         raise AssertionError("placement DP found no start count")
-    return PlacementTables(tuple(rows), choice, answer, best_j0, evals)
+    return PlacementTables(tuple(rows), tuple(choice), answer, best_j0, evals)
 
 
 def placement_from_tables(d: CaterpillarDecomposition, tables: PlacementTables) -> PointPlacement:
-    """Backtrack the left-son counts into integer points for every leaf."""
-    left_counts = [tables.best_j0]
-    for i in range(len(d.spine) - 1):
-        left_counts.append(tables.choice[(i, left_counts[-1])])
-    points = []
+    """Backtrack the left-son counts into integer points for every leaf.
+
+    The points go into a leaf-indexed array, which lists them by leaf id in
+    O(n) without a sort.
+    """
+    point_of = [-1] * (len(d.spine) + sum(d.bucket_sizes))
+    j = tables.best_j0
     for i, bucket in enumerate(d.buckets):
-        j = left_counts[i]
-        points.extend((leaf, i) for leaf in bucket[:j])
-        points.extend((leaf, i + 1) for leaf in bucket[j:])
-    return PointPlacement(d.spine, tuple(sorted(points)))
+        if i:
+            j = tables.choice[i - 1][j]
+        for leaf in bucket[:j]:
+            point_of[leaf] = i
+        for leaf in bucket[j:]:
+            point_of[leaf] = i + 1
+    return PointPlacement(d.spine, tuple((leaf, t) for leaf, t in enumerate(point_of) if t >= 0))
 
 
 def materialize_fill_edges(g: Graph, p: PointPlacement) -> tuple[Edge, ...]:
@@ -96,18 +103,18 @@ def materialize_fill_edges(g: Graph, p: PointPlacement) -> tuple[Edge, ...]:
     """
     k = len(p.spine) - 1
     on_spine = set(p.spine)
-    groups: dict[int, list[int]] = {}
+    groups: list[list[int]] = [[] for _ in range(k + 2)]
     for leaf, point in p.points:
         if leaf in on_spine:
             raise GraphInputError(f"vertex {leaf} is on the spine and cannot be a placed leaf")
         if not 0 <= point <= k + 1:
             raise GraphInputError(f"point {point} outside 0..{k + 1}")
-        groups.setdefault(point, []).append(leaf)
+        groups[point].append(leaf)
     if len({leaf for leaf, _ in p.points}) != len(p.points):
         raise GraphInputError("a leaf is placed more than once")
     nb = g.neighbors  # a leaf's tuple has one entry, so each membership test is O(1)
     fill: list[Edge] = []
-    for point, group in groups.items():
+    for point, group in enumerate(groups):
         for a_idx, a in enumerate(group):
             for b in group[a_idx + 1 :]:
                 if b not in nb[a]:
@@ -122,12 +129,34 @@ def materialize_fill_edges(g: Graph, p: PointPlacement) -> tuple[Edge, ...]:
     return tuple(fill)
 
 
+def _placement_order(p: PointPlacement) -> tuple[int, ...]:
+    """Umbrella order of g plus the placement's fill, in O(n) and without a sort.
+
+    For t = 0..k+1: the leaves on point t, then ``spine[t]``.  A leaf on t
+    sees ``spine[t-1]``, the leaves on t and ``spine[t]``; ``spine[t]`` sees
+    ``spine[t-1]``, the leaves on t and on t+1 and ``spine[t+1]``.  Each is a
+    run of this order.  ``p.points`` is sorted by leaf, so each point's
+    leaves come in ascending id.
+    """
+    spine = p.spine
+    groups: list[list[int]] = [[] for _ in range(len(spine) + 1)]
+    for leaf, point in p.points:
+        groups[point].append(leaf)
+    order: list[int] = []
+    for group, v in zip(groups, spine):
+        order += group
+        order.append(v)
+    order += groups[-1]
+    return tuple(order)
+
+
 def _describes(d: CaterpillarDecomposition, g: Graph) -> bool:
     """True iff d names each vertex of g once and its edges are exactly E(g).
 
     O(n): the spine path and the leaf-to-spine pairs are distinct when every
     vertex is named once, so they are exactly E(g) when each is an edge and
-    there are g.m of them.
+    there are g.m of them.  A leaf's pair is an edge iff its neighbour tuple
+    is exactly its spine vertex, since the count leaves it no other edge.
     """
     n = g.n
     spine = d.spine
@@ -141,8 +170,9 @@ def _describes(d: CaterpillarDecomposition, g: Graph) -> bool:
         if not 0 <= v < n or named[v]:
             return False
         named[v] = 1
+    nb = g.neighbors
     return all(g.has_edge(u, v) for u, v in zip(spine, spine[1:])) and all(
-        g.has_edge(v, leaf) for v, bucket in zip(spine, d.buckets) for leaf in bucket
+        nb[leaf] == (v,) for v, bucket in zip(spine, d.buckets) for leaf in bucket
     )
 
 
@@ -153,7 +183,8 @@ def caterpillar_pig_completion(
 
     Computes the spine decomposition if not supplied; a supplied one must
     describe g exactly.  With ``cost_only`` the fill is not materialized and
-    ``fill`` is None.
+    ``fill`` and ``order`` are None; otherwise ``order`` is an umbrella order
+    of g plus the fill.
     """
     if d is None:
         d = caterpillar_decomposition(g)
@@ -168,4 +199,4 @@ def caterpillar_pig_completion(
     fill = materialize_fill_edges(g, placement)
     if len(fill) != tables.answer:
         raise AssertionError("DP answer disagrees with the materialized fill")
-    return CompletionResult(fill, tables.answer, placement, "caterpillar")
+    return CompletionResult(fill, tables.answer, placement, "caterpillar", order=_placement_order(placement))

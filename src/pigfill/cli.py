@@ -34,6 +34,7 @@ from .recognition import (
     PigVerdict,
     caterpillar_decomposition,
     is_proper_interval,
+    is_umbrella_order,
     quasi_threshold_forest,
     split_partition,
     threshold_creation_sequence,
@@ -133,7 +134,7 @@ def _dumps(obj, depth: int = 0) -> str:
 
 
 def _envelope(g: Graph, result: CompletionResult, runtime_ms: float, sequence: dict | None, digest: bool) -> dict:
-    """The ``complete`` envelope; the ascending fill and the certificates stay tuples, which encode as lists.
+    """The ``complete`` envelope; the ascending fill, the certificates and the umbrella order stay tuples, which encode as lists.
 
     The text output prints no input digest, so ``digest=False`` leaves it out.
     """
@@ -154,6 +155,8 @@ def _envelope(g: Graph, result: CompletionResult, runtime_ms: float, sequence: d
         env["sequence"] = sequence
     if result.lower_bound_for:
         env["lower_bound_for"] = result.lower_bound_for
+    if result.order is not None:
+        env["umbrella_order"] = result.order
     return env
 
 
@@ -216,7 +219,11 @@ def _cmd_complete(args) -> int:
             *first, last = (row["name"] for row in _COMPLETABLE)
             raise ClassMembershipError(f"{', '.join(first)} or {last} (and too large for the oracle)")
         cost, fill = brute_min_pig(g, OracleBudget(max_vertices=args.max_n))
-        result = CompletionResult(None if args.cost_only else tuple(sorted_edges(fill)), cost, None, "oracle")
+        if args.cost_only:
+            result = CompletionResult(None, cost, None, "oracle")
+        else:
+            order = is_proper_interval(apply_fill(g, fill)).order
+            result = CompletionResult(tuple(sorted_edges(fill)), cost, None, "oracle", order=order)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     env = _envelope(g, result, runtime_ms, sequence, digest=args.json)
     if args.json:
@@ -302,13 +309,28 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _read_fill(path: str) -> list[tuple[int, int]]:
-    """Fill pairs from a JSON file: a ``[[u, v], ...]`` list or an envelope's ``fill_edges``."""
+def _read_fill(path: str, n: int) -> tuple[list[tuple[int, int]], list[int] | None]:
+    """Fill pairs and the optional umbrella order from a JSON file.
+
+    The file holds a ``[[u, v], ...]`` list, or an envelope with
+    ``fill_edges`` and, optionally, ``umbrella_order``: a permutation of
+    0..n-1 as ints, else the file is malformed.
+    """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    order = None
     if isinstance(data, dict):
         if "fill_edges" not in data:
             raise GraphInputError("fill file object has no 'fill_edges' key")
+        if "umbrella_order" in data:
+            order = data["umbrella_order"]
+            # exact types, as for the pairs; a permutation sorts to 0..n-1
+            if not (
+                isinstance(order, list)
+                and set(map(type, order)) <= {int}
+                and sorted(order) == list(range(n))
+            ):
+                raise GraphInputError(f"umbrella_order must be a permutation of 0..{n - 1} as integers")
         data = data["fill_edges"]
     # exact types: bool is an int subclass, and int() would truncate floats such as 1.9
     if not (
@@ -318,12 +340,12 @@ def _read_fill(path: str) -> list[tuple[int, int]]:
         and set(map(type, chain.from_iterable(data))) <= {int}
     ):
         raise GraphInputError("fill file must hold [[u, v], ...] pairs of integers")
-    return [edge(u, v) for u, v in data]
+    return [edge(u, v) for u, v in data], order
 
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args.graph)
-    fill = _read_fill(args.fill)
+    fill, order = _read_fill(args.fill, g.n)
     problems = []
     for (u, v), times in Counter(fill).items():
         if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
@@ -334,9 +356,13 @@ def _cmd_verify(args) -> int:
             problems.append(f"({u}, {v}) is already an edge")
     verdict = None
     if not problems:
-        verdict = is_proper_interval(apply_fill(g, fill))
-        if not verdict.is_pig:
-            problems.append(f"augmented graph is not proper interval ({verdict.witness_kind})")
+        h = apply_fill(g, fill)
+        # a valid umbrella order certifies the accept in O(n + m); without
+        # one the recognizer decides, so a rejection still gets its witness
+        if order is None or not is_umbrella_order(h, order):
+            verdict = is_proper_interval(h)
+            if not verdict.is_pig:
+                problems.append(f"augmented graph is not proper interval ({verdict.witness_kind})")
     accepted = not problems
     if args.json:
         out = {
@@ -345,7 +371,7 @@ def _cmd_verify(args) -> int:
             "fill_size": len(fill),
             "accepted": accepted,
             "problems": problems,
-            "witness": list(verdict.witness) if verdict and verdict.witness else None,
+            "witness": list(verdict.witness) if verdict is not None and verdict.witness else None,
         }
         print(_dumps(out))
     else:
@@ -410,7 +436,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a claimed fill set")
     p.add_argument("graph")
-    p.add_argument("--fill", required=True, help="JSON file with [[u, v], ...]")
+    p.add_argument(
+        "--fill", required=True,
+        help="JSON file with [[u, v], ...] or a complete --json envelope (its umbrella_order speeds up an accept)",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 

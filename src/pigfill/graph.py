@@ -47,7 +47,7 @@ class Graph:
     ``neighbors[v]`` is the sorted tuple of neighbors of ``v``.  Adjacency is
     symmetric and loop-free by construction.  ``masks`` is derived from
     ``neighbors`` and not a field, so equality and hashing ignore whether it
-    has been built.
+    has been built; so is the cached edge count ``m``.
     """
 
     n: int
@@ -58,9 +58,10 @@ class Graph:
         """``masks[v]`` is ``neighbors[v]`` as a bitmask; built on first read."""
         return tuple(sum(1 << w for w in nb) for nb in self.neighbors)
 
-    @property
+    @cached_property
     def m(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
+        """Edge count; computed on first read and cached, like ``masks``."""
+        return sum(map(len, self.neighbors)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])

@@ -280,14 +280,28 @@ def _three_sweep_order(g: Graph) -> tuple[int, ...] | None:
     return tuple(sigma)
 
 
-def _is_umbrella(neighbors, order) -> bool:
-    """True iff every closed neighbourhood is consecutive in ``order``."""
-    bit = 1
-    for row in _rank_masks(neighbors, order):
-        closed = row | bit
-        if (closed + (closed & -closed)) & closed:
-            return False
-        bit <<= 1
+def is_umbrella_order(g: Graph, order) -> bool:
+    """True iff ``order`` is an umbrella order of g.
+
+    That is a permutation of the vertices in which every closed neighbourhood
+    is consecutive.  O(n + m) on the neighbour tuples: positions are
+    distinct, so a closed neighbourhood is consecutive iff its smallest and
+    largest positions span exactly its size.  Only proper interval graphs
+    have such an order (Roberts 1971), so a True answer certifies membership.
+    """
+    n = g.n
+    if len(order) != n or set(order) != set(range(n)):
+        return False
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    at = pos.__getitem__
+    for v, nb in enumerate(g.neighbors):
+        if nb:
+            spots = list(map(at, nb))
+            spots.append(pos[v])
+            if max(spots) - min(spots) != len(nb):
+                return False
     return True
 
 
@@ -311,7 +325,7 @@ def is_proper_interval(g: Graph) -> PigVerdict:
     order (``_peo_violation``).
     """
     order = _three_sweep_order(g)
-    if order is not None and _is_umbrella(g.neighbors, order):
+    if order is not None and is_umbrella_order(g, order):
         return PigVerdict(True, order=order)
     masks, n = g.masks, g.n
     claw = _find_claw(masks, n)

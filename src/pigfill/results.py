@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, non_edges_within, strictly_ascending
+from .graph import Edge, Graph, apply_fill, non_edges_within, strictly_ascending
+from .recognition import is_umbrella_order
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,11 @@ class CompletionResult:
     None only in cost-only mode.  For a CliqueBipartition certificate the fill
     is exactly the non-edges inside the two parts; any vertex outside both
     parts was isolated in the input and untouched.
+
+    ``order``, when present, is an umbrella order of the graph plus the fill:
+    every closed neighbourhood is consecutive in it.  It certifies that the
+    completed graph is proper interval and is checked in O(n + m).  The PIG
+    completers set it whenever they materialize the fill.
     """
 
     fill: tuple[Edge, ...] | None
@@ -49,10 +55,11 @@ class CompletionResult:
     certificate: Certificate | None
     algorithm: str
     lower_bound_for: str | None = None
+    order: tuple[int, ...] | None = None
 
 
 def validate_completion(g: Graph, result: CompletionResult) -> None:
-    """Raise ValueError when a result's fill/cost/certificate are inconsistent."""
+    """Raise ValueError when a result's fill/cost/certificate/order are inconsistent."""
     fill = result.fill
     if fill is None:
         return
@@ -82,3 +89,5 @@ def validate_completion(g: Graph, result: CompletionResult) -> None:
 
         if materialize_fill_edges(g, cert) != fill:
             raise ValueError("fill does not match the point placement")
+    if result.order is not None and not is_umbrella_order(apply_fill(g, fill), result.order):
+        raise ValueError("order is not an umbrella order of the graph plus the fill")

@@ -84,14 +84,39 @@ def threshold_run(g: Graph, sequence: CreationSequence | None = None) -> Thresho
     return ThresholdRun(CreationSequence(active), tuple(side), tuple(sizes), cost, tuple(sorted(stripped)))
 
 
+def _clique_pair_order(g: Graph, s1: tuple[int, ...], s2: tuple[int, ...], rest: tuple[int, ...]) -> tuple[int, ...]:
+    """Umbrella order of g once s1 and s2 are cliques, in O(n + m).
+
+    s1 by ascending count of s2-neighbours, then s2 by descending count of
+    s1-neighbours, ties by id (both sides are ascending), then ``rest``, which
+    has no edge.  A threshold graph's neighbourhoods are nested, so the
+    s2-neighbours of a vertex of s1 are a prefix of the s2 run and the
+    s1-neighbours of a vertex of s2 a suffix of the s1 run: every closed
+    neighbourhood is consecutive.  Counting buckets keep it free of sorts.
+    """
+    neighbors = g.neighbors
+    order: list[int] = []
+    for part, other, descending in ((s1, s2, False), (s2, s1, True)):
+        inside = bytearray(g.n)
+        for v in other:
+            inside[v] = 1
+        buckets: list[list[int]] = [[] for _ in range(len(other) + 1)]
+        for v in part:
+            buckets[sum(map(inside.__getitem__, neighbors[v]))].append(v)
+        for bucket in reversed(buckets) if descending else buckets:
+            order += bucket
+    return tuple(order) + rest
+
+
 def threshold_pig_completion(
     g: Graph, sequence: CreationSequence | None = None, *, cost_only: bool = False
 ) -> CompletionResult:
     """Minimum proper-interval completion of a threshold graph.
 
     Returns the fill edges (non-edges inside the two sides, as an ascending
-    tuple), the cost, and the CliqueBipartition certificate.  With
-    ``cost_only`` the fill is not materialized and ``fill`` is None.
+    tuple), the cost, the CliqueBipartition certificate and an umbrella
+    order of g plus the fill.  With ``cost_only`` the fill is not
+    materialized and ``fill`` and ``order`` are None.
     """
     run = threshold_run(g, sequence)
     s1 = tuple(sorted(v for (v, _), s in zip(run.sequence.steps, run.side) if s == 1))
@@ -105,7 +130,7 @@ def threshold_pig_completion(
         raise AssertionError("incremental cost disagrees with materialized fill")
     if not strictly_ascending(fill):
         raise AssertionError("materialized fill repeats a pair")
-    return CompletionResult(fill, run.cost, cert, "threshold")
+    return CompletionResult(fill, run.cost, cert, "threshold", order=_clique_pair_order(g, s1, s2, run.stripped))
 
 
 def partition_cost(g: Graph, parts: tuple[tuple[int, ...], tuple[int, ...]]) -> int:

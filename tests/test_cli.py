@@ -383,6 +383,7 @@ class TestSchemaConformance:
         validator = jsonschema.Draft202012Validator(schema)
         fill = tmp_path / "fill.json"
         fill.write_text("[[1, 2]]")
+        envelope = tmp_path / "envelope.json"
         for argv in (
             ["complete", "--json", claw_file],
             ["recognize", p4_file],
@@ -391,6 +392,22 @@ class TestSchemaConformance:
         ):
             main(argv)
             validator.validate(json.loads(capsys.readouterr().out))
+        # the umbrella order of every completion that writes one
+        for argv in (
+            ["complete", "--json", claw_file],
+            ["complete", "--json", p4_file],
+            ["complete", "--json", "--algo", "oracle", claw_file],
+        ):
+            main(argv)
+            out = capsys.readouterr().out
+            env = json.loads(out)
+            assert sorted(env["umbrella_order"]) == list(range(env["input"]["n"]))
+            validator.validate(env)
+            envelope.write_text(out)
+        main(["verify", claw_file, "--fill", str(envelope), "--json"])
+        validator.validate(json.loads(capsys.readouterr().out))
+        bad = dict(env, umbrella_order=["0", "1", "2", "3"])
+        assert not validator.is_valid(bad)
 
 
 class TestErrorsAndXcheck:
