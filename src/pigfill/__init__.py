@@ -42,6 +42,7 @@ from .oracle import (
     brute_min_cobipartite,
     brute_min_pig,
     forbidden_subgraph_scan,
+    forbidden_subgraph_scans,
 )
 from .quasithreshold import DpTables, build_dp_tables, qt_cobipartite_completion
 from .recognition import (

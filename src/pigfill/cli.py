@@ -380,6 +380,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_xcheck(args) -> int:
+    if args.max_n is not None and args.max_n < 1:
+        # a sweep up to n < 1 checks nothing and would print "all checks passed"
+        print(f"error: --max-n must be at least 1, got {args.max_n}", file=sys.stderr)
+        return 2
     rows = run_xcheck(args.klass, args.max_n)
     for row in rows:
         print(row.line())

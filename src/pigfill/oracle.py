@@ -11,7 +11,9 @@ truncated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
+from typing import Iterable
 
 from .errors import OracleBudgetError
 from .graph import Edge, EdgeSet, Graph, iter_non_edges
@@ -284,13 +286,13 @@ FAMILIES = {
     "pig": ("claw", "net", "tent", "chordless-cycle"),
 }
 
-
-def _subset_mask4(masks: tuple[int, ...], quad: tuple[int, ...]) -> int:
-    mask = 0
-    for i, (a, b) in enumerate(_PAIRS4):
-        if masks[quad[a]] >> quad[b] & 1:
-            mask |= 1 << i
-    return mask
+# family -> {4-vertex class: the kind reported for it}; pig names its C4 a chordless cycle
+_QUAD_KINDS = {
+    "threshold": {"2K2": "2K2", "C4": "C4", "P4": "P4"},
+    "quasi-threshold": {"P4": "P4", "C4": "C4"},
+    "split": {"2K2": "2K2", "C4": "C4"},
+    "pig": {"claw": "claw", "C4": "chordless-cycle"},
+}
 
 
 def _induced_cycle(masks: tuple[int, ...], subset: tuple[int, ...]) -> bool:
@@ -338,41 +340,80 @@ def _net_or_tent(masks: tuple[int, ...], subset: tuple[int, ...]) -> str | None:
     return kind
 
 
-def forbidden_subgraph_scan(g: Graph, family: str) -> tuple[str, tuple[int, ...]] | None:
-    """First induced forbidden subgraph for the family, in lexicographic subset order.
+Witness = tuple[str, tuple[int, ...]]
+
+
+@cache
+def _quad_closers(families: tuple[str, ...]) -> tuple[tuple[tuple[str, str], ...], ...]:
+    """Quad pattern -> the (family, kind) pairs among ``families`` its class closes."""
+    return tuple(
+        tuple((fam, _QUAD_KINDS[fam][cls]) for fam in families if cls in _QUAD_KINDS[fam])
+        for cls in map(_CLASS4.get, range(64))
+    )
+
+
+def _scan_quads(masks: tuple[int, ...], n: int, found: dict[str, Witness | None]) -> None:
+    """Record in ``found`` each open family's first quad witness, in lexicographic order.
+
+    A quad's 6-bit pattern is read from the rows (bit i for ``_PAIRS4[i]``),
+    the part fixed by its first two or three vertices once per prefix.
+    """
+    closers = _quad_closers(tuple(found))
+    for a in range(n):
+        ra = masks[a]
+        for b in range(a + 1, n):
+            rb = masks[b]
+            p2 = ra >> b & 1
+            for c in range(b + 1, n):
+                rc = masks[c]
+                p3 = p2 | (ra >> c & 1) << 1 | (rb >> c & 1) << 3
+                for d in range(c + 1, n):
+                    hit = closers[p3 | (ra >> d & 1) << 2 | (rb >> d & 1) << 4 | (rc >> d & 1) << 5]
+                    if hit:
+                        for fam, kind in hit:
+                            found[fam] = kind, (a, b, c, d)
+                        still_open = tuple(f for f, w in found.items() if w is None)
+                        if not still_open:
+                            return
+                        closers = _quad_closers(still_open)
+
+
+def forbidden_subgraph_scans(
+    g: Graph, families: Iterable[str] = tuple(FAMILIES)
+) -> dict[str, Witness | None]:
+    """First induced forbidden subgraph of each family, in lexicographic subset order.
 
     Families: ``threshold`` {2K2, C4, P4}; ``quasi-threshold`` {P4, C4};
     ``split`` {2K2, C4, C5}; ``pig`` {claw, net, tent} plus chordless cycles of
-    any length (so an empty scan is exactly proper-interval membership).
+    any length (so an empty scan is exactly proper-interval membership).  A
+    family's witness is ``(kind, vertices)``, or None when the graph has none.
+
+    The 4-subsets are walked once for all families; 5-subsets only while split
+    or pig is open, one cycle test serving both, and larger subsets only for pig.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    wanted = FAMILIES[family]
+    found: dict[str, Witness | None] = {}
+    for family in families:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
+        found[family] = None
     n = g.n
     masks = g.masks
-    if family in ("threshold", "quasi-threshold"):
-        for quad in combinations(range(n), 4):
-            kind = _CLASS4.get(_subset_mask4(masks, quad))
-            if kind in wanted:
-                return kind, quad
-        return None
-    if family == "split":
-        for quad in combinations(range(n), 4):
-            kind = _CLASS4.get(_subset_mask4(masks, quad))
-            if kind in ("2K2", "C4"):
-                return kind, quad
+    _scan_quads(masks, n, found)
+    fives = [fam for fam in ("split", "pig") if fam in found and found[fam] is None]
+    if fives and n >= 5:
         for five in combinations(range(n), 5):
             if _induced_cycle(masks, five):
-                return "C5", five
-        return None
-    # pig
-    for quad in combinations(range(n), 4):
-        kind = _CLASS4.get(_subset_mask4(masks, quad))
-        if kind == "claw":
-            return "claw", quad
-        if kind == "C4":
-            return "chordless-cycle", quad
-    for size in range(5, n + 1):
+                for fam in fives:
+                    found[fam] = ("C5" if fam == "split" else "chordless-cycle"), five
+                break
+    if "pig" in found and found["pig"] is None:
+        found["pig"] = _pig_large_subsets(masks, n)
+    return found
+
+
+def _pig_large_subsets(masks: tuple[int, ...], n: int) -> Witness | None:
+    """First net, tent or chordless cycle on six or more vertices (net/tent first at six)."""
+    for size in range(6, n + 1):
         for subset in combinations(range(n), size):
             if size == 6:
                 kind = _net_or_tent(masks, subset)
@@ -381,3 +422,8 @@ def forbidden_subgraph_scan(g: Graph, family: str) -> tuple[str, tuple[int, ...]
             if _induced_cycle(masks, subset):
                 return "chordless-cycle", subset
     return None
+
+
+def forbidden_subgraph_scan(g: Graph, family: str) -> Witness | None:
+    """First induced forbidden subgraph for one family; see ``forbidden_subgraph_scans``."""
+    return forbidden_subgraph_scans(g, (family,))[family]

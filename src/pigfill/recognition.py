@@ -668,11 +668,15 @@ def split_partition(g: Graph) -> SplitPartition | None:
     """Split partition via the degree-sequence criterion, or None.
 
     The raw top-degree clique is normalized by absorbing any independent
-    vertex that is complete to it (there is at most one at a time).
+    vertex that is complete to it (there is at most one at a time).  Reads
+    the neighbour tuples only: ``inside[w]`` counts w's neighbours in the
+    clique, kept up to date as vertices join it.
     """
     n = g.n
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in order]
+    neighbors = g.neighbors
+    degree = list(map(len, neighbors))
+    order = sorted(range(n), key=degree.__getitem__, reverse=True)  # stable: ties by id
+    degs = [degree[v] for v in order]
     h = 0
     for i in range(1, n + 1):
         if degs[i - 1] >= i - 1:
@@ -681,23 +685,27 @@ def split_partition(g: Graph) -> SplitPartition | None:
             break
     if sum(degs[:h]) != h * (h - 1) + sum(degs[h:]):
         return None
+    in_clique = bytearray(n)
+    for v in order[:h]:
+        in_clique[v] = 1
+    inside = [sum(map(in_clique.__getitem__, nb)) for nb in neighbors]
     clique = set(order[:h])
     indep = set(order[h:])
-    cmask = sum(1 << v for v in clique)
     for v in clique:
-        if (g.masks[v] & cmask).bit_count() != len(clique) - 1:
+        if inside[v] != h - 1:
             return None  # defensive; the degree criterion should guarantee this
     for u in indep:
-        if g.masks[u] & sum(1 << v for v in indep):
-            return None  # defensive
+        if inside[u] != degree[u]:
+            return None  # defensive: u has an independent neighbour
     moved = True
     while moved:
         moved = False
         for v in sorted(indep):
-            if g.masks[v] & cmask == cmask:
+            if inside[v] == len(clique):
                 indep.remove(v)
                 clique.add(v)
-                cmask |= 1 << v
+                for w in neighbors[v]:
+                    inside[w] += 1
                 moved = True
                 break
     return SplitPartition(tuple(sorted(clique)), tuple(sorted(indep)))

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import product
 
 from .caterpillar import build_placement_tables, caterpillar_pig_completion
-from .graph import Graph, apply_fill, build_graph, connected_components
+from .errors import OracleBudgetError
+from .graph import Graph, apply_fill, connected_components
 from .generators import (
     caterpillar_from_buckets,
     enumerate_rooted_forests,
@@ -25,7 +26,7 @@ from .oracle import (
     OracleBudget,
     brute_min_cobipartite,
     brute_min_pig,
-    forbidden_subgraph_scan,
+    forbidden_subgraph_scans,
 )
 from .quasithreshold import build_dp_tables, qt_cobipartite_completion
 from .recognition import (
@@ -244,9 +245,31 @@ def xcheck_caterpillar(
 
 
 def _all_graphs(n: int):
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+    """Every labelled graph on n vertices, with its rows cached as ``masks``.
+
+    Graph ``k`` has pair ``i`` of ``combinations(range(n), 2)`` iff bit i of k
+    is set.  Row u's pairs to later vertices are one run of those bits, and
+    row 0's run is the lowest, so a product over the runs with row 0 last
+    yields the graphs in the same order.  A run value contributes its bits to
+    row u and one bit u to each later row it reaches; the contributions are
+    disjoint, so each row is their sum.
+    """
+    runs = []
+    for u in range(n):
+        run = []
+        for r in range(1 << (n - 1 - u)):
+            rows = [0] * n
+            rows[u] = r << (u + 1)
+            for v in range(u + 1, n):
+                rows[v] = (r >> (v - u - 1) & 1) << u
+            run.append(tuple(rows))
+        runs.append(run)
+    neighbors_of = [tuple(v for v in range(n) if row >> v & 1) for row in range(1 << n)]
+    for parts in product(*reversed(runs)):
+        masks = tuple(map(sum, zip(*parts)))
+        g = Graph(n, tuple(map(neighbors_of.__getitem__, masks)))
+        g.__dict__["masks"] = masks
+        yield g
 
 
 def _has_dominating_path(g: Graph) -> bool:
@@ -270,11 +293,19 @@ def _has_dominating_path(g: Graph) -> bool:
     return any(extend(v, 1 << v, (1 << v) | g.masks[v]) for v in range(g.n))
 
 
-def xcheck_recognition(max_n: int = 6) -> list[CheckRow]:
-    if max_n > 7:
-        raise ValueError(
-            f"the recognition sweep is exhaustive over all 2^(n(n-1)/2) graphs; refusing max_n={max_n} > 7"
+_SWEEP_MAX_N = 7
+
+
+def _require_sweep_n(max_n: int) -> None:
+    if max_n > _SWEEP_MAX_N:
+        raise OracleBudgetError(
+            "the recognition sweep is exhaustive over all 2^(n(n-1)/2) graphs;"
+            f" refusing max_n={max_n} > {_SWEEP_MAX_N}"
         )
+
+
+def xcheck_recognition(max_n: int = 6) -> list[CheckRow]:
+    _require_sweep_n(max_n)
     thr = CheckRow("threshold recognizer == {2K2, C4, P4} scan")
     thr_replay = CheckRow("creation sequences replay to the input")
     qt = CheckRow("qt recognizer == {P4, C4} scan")
@@ -285,18 +316,17 @@ def xcheck_recognition(max_n: int = 6) -> list[CheckRow]:
     cater_rebuild = CheckRow("caterpillar decompositions rebuild the input")
     for n in range(1, max_n + 1):
         for g in _all_graphs(n):
+            scan = forbidden_subgraph_scans(g)
             seq = threshold_creation_sequence(g)
-            thr.count((seq is not None) == (forbidden_subgraph_scan(g, "threshold") is None))
+            thr.count((seq is not None) == (scan["threshold"] is None))
             if seq is not None:
                 thr_replay.count(replay_creation_sequence(seq) == g)
             forest = quasi_threshold_forest(g)
-            qt.count((forest is not None) == (forbidden_subgraph_scan(g, "quasi-threshold") is None))
+            qt.count((forest is not None) == (scan["quasi-threshold"] is None))
             if forest is not None:
                 qt_rebuild.count(qt_forest_graph(forest) == g)
-            pig.count(is_proper_interval(g).is_pig == (forbidden_subgraph_scan(g, "pig") is None))
-            split.count(
-                (split_partition(g) is not None) == (forbidden_subgraph_scan(g, "split") is None)
-            )
+            pig.count(is_proper_interval(g).is_pig == (scan["pig"] is None))
+            split.count((split_partition(g) is not None) == (scan["split"] is None))
             d = caterpillar_decomposition(g)
             is_tree = g.m == g.n - 1 and len(connected_components(g)) == 1
             cater.count((d is not None) == (is_tree and _has_dominating_path(g)), f"n={n}")
@@ -320,6 +350,8 @@ SUITES = {
 def run_xcheck(klass: str, max_n: int | None = None) -> list[CheckRow]:
     if klass != "all" and klass not in SUITES:
         raise ValueError(f"unknown xcheck class {klass!r}; choose from {sorted(SUITES)} or 'all'")
+    if max_n is not None and klass in ("all", "recognition"):
+        _require_sweep_n(max_n)  # refuse before any other suite runs
     rows = []
     for name, fn in SUITES.items():
         if klass in ("all", name):

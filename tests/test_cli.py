@@ -437,6 +437,20 @@ class TestErrorsAndXcheck:
         out = capsys.readouterr().out
         assert "pass" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("klass", ["recognition", "all"])
+    def test_xcheck_sweep_over_budget_exit_3(self, capsys, klass):
+        assert main(["xcheck", "--class", klass, "--max-n", "8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before any suite ran
+        assert captured.err.startswith("error: ") and "max_n=8" in captured.err
+
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_xcheck_vacuous_max_n_exit_2(self, capsys, max_n):
+        assert main(["xcheck", "--class", "all", "--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert "all checks passed" not in captured.out
+        assert captured.err.startswith("error: ")
+
 
 _ints = st.integers(min_value=-(10**20), max_value=10**20)
 # plain text, and short strings of the characters that delimit JSON structure

@@ -15,12 +15,14 @@ from pigfill import (
     brute_min_pig,
     build_graph,
     forbidden_subgraph_scan,
+    forbidden_subgraph_scans,
     is_proper_interval,
     iter_non_edges,
     non_edges_within,
 )
-from pigfill.oracle import _claw_or_c4
+from pigfill.oracle import _CLASS4, _PAIRS4, FAMILIES, _claw_or_c4, _induced_cycle, _net_or_tent
 from pigfill.recognition import pig_mask_check
+from pigfill.xcheck import _all_graphs as _sweep_graphs
 
 from test_graph import graphs
 
@@ -39,6 +41,52 @@ def _plain_min_pig(g):
             if pig_mask_check(masks, g.n):
                 return k, frozenset(combo)
     raise AssertionError("unreachable: the complete graph is proper interval")
+
+
+def _subset_mask4(masks, quad):
+    mask = 0
+    for i, (a, b) in enumerate(_PAIRS4):
+        if masks[quad[a]] >> quad[b] & 1:
+            mask |= 1 << i
+    return mask
+
+
+def _plain_scan(g, family):
+    """Reference for ``forbidden_subgraph_scans``: one family at a time, each
+    with its own walk over the subsets in lexicographic order."""
+    wanted = FAMILIES[family]
+    n = g.n
+    masks = g.masks
+    if family in ("threshold", "quasi-threshold"):
+        for quad in combinations(range(n), 4):
+            kind = _CLASS4.get(_subset_mask4(masks, quad))
+            if kind in wanted:
+                return kind, quad
+        return None
+    if family == "split":
+        for quad in combinations(range(n), 4):
+            kind = _CLASS4.get(_subset_mask4(masks, quad))
+            if kind in ("2K2", "C4"):
+                return kind, quad
+        for five in combinations(range(n), 5):
+            if _induced_cycle(masks, five):
+                return "C5", five
+        return None
+    for quad in combinations(range(n), 4):
+        kind = _CLASS4.get(_subset_mask4(masks, quad))
+        if kind == "claw":
+            return "claw", quad
+        if kind == "C4":
+            return "chordless-cycle", quad
+    for size in range(5, n + 1):
+        for subset in combinations(range(n), size):
+            if size == 6:
+                kind = _net_or_tent(masks, subset)
+                if kind is not None:
+                    return kind, subset
+            if _induced_cycle(masks, subset):
+                return "chordless-cycle", subset
+    return None
 
 
 def _all_graphs(max_n):
@@ -216,6 +264,56 @@ class TestForbiddenScan:
     def test_unknown_family(self, claw):
         with pytest.raises(ValueError):
             forbidden_subgraph_scan(claw, "nonsense")
+        with pytest.raises(ValueError):
+            forbidden_subgraph_scans(claw, ["nonsense"])
+        with pytest.raises(ValueError):
+            forbidden_subgraph_scans(claw, ["pig", "nonsense"])
+
+    def test_scans_default_to_every_family(self, claw):
+        assert forbidden_subgraph_scans(claw) == {
+            "threshold": None,
+            "quasi-threshold": None,
+            "split": None,
+            "pig": ("claw", (0, 1, 2, 3)),
+        }
+        assert forbidden_subgraph_scans(claw, []) == {}
+
+
+class TestExhaustiveSweep:
+    def test_sweep_graphs_match_pair_mask_enumeration(self):
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            want = [
+                build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+                for mask in range(1 << len(pairs))
+            ]
+            got = list(_sweep_graphs(n))
+            assert got == want, n
+            assert [g.__dict__["masks"] for g in got] == [g.masks for g in want], n
+
+    def _assert_scans_match_plain(self, graphs, one_family):
+        for g in graphs:
+            want = {f: _plain_scan(g, f) for f in FAMILIES}
+            assert forbidden_subgraph_scans(g) == want, g
+            if one_family:
+                for f in FAMILIES:
+                    assert forbidden_subgraph_scan(g, f) == want[f], (f, g)
+
+    def test_scans_match_plain_scans_to_6(self):
+        # every family at once, as the recognition sweep calls it
+        self._assert_scans_match_plain((g for n in range(1, 7) for g in _sweep_graphs(n)), one_family=False)
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_scans_match_plain_scans_sampled(self, n):
+        rng = random.Random(n)
+        pairs = list(combinations(range(n), 2))
+
+        def sample():
+            for _ in range(3000):
+                p = rng.random()
+                yield build_graph(n, [e for e in pairs if rng.random() < p])
+
+        self._assert_scans_match_plain(sample(), one_family=True)
 
 
 class TestOracleAgreement:

@@ -22,7 +22,8 @@ from pigfill import (
     threshold_pig_completion,
 )
 from pigfill import recognition
-from pigfill.generators import gen_caterpillar, gen_threshold
+from pigfill.generators import gen_caterpillar, gen_split, gen_threshold
+from pigfill.recognition import SplitPartition
 
 # Independent checkers for the recognizer's certificates; they read the graph
 # through has_edge only.
@@ -285,6 +286,49 @@ class TestSplitRecognizer:
         # K2: both endpoints must land in the clique, the independent side empties
         part = split_partition(build_graph(2, [(0, 1)]))
         assert part.clique == (0, 1) and part.independent == ()
+
+    def test_matches_mask_reference_without_building_rows(self):
+        graphs = [g for n in range(7) for g in _all_graphs(n)]
+        graphs += [gen_split(1 + i % 40, seed=i)[0] for i in range(500)]
+        for g in graphs:
+            part = split_partition(g)
+            assert "masks" not in g.__dict__
+            assert part == _mask_split_partition(g), g
+
+
+def _mask_split_partition(g):
+    """Reference for ``split_partition``: the same criterion, checked on the bitmask rows."""
+    n = g.n
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    degs = [g.degree(v) for v in order]
+    h = 0
+    for i in range(1, n + 1):
+        if degs[i - 1] >= i - 1:
+            h = i
+        else:
+            break
+    if sum(degs[:h]) != h * (h - 1) + sum(degs[h:]):
+        return None
+    clique = set(order[:h])
+    indep = set(order[h:])
+    cmask = sum(1 << v for v in clique)
+    for v in clique:
+        if (g.masks[v] & cmask).bit_count() != len(clique) - 1:
+            return None
+    for u in indep:
+        if g.masks[u] & sum(1 << v for v in indep):
+            return None
+    moved = True
+    while moved:
+        moved = False
+        for v in sorted(indep):
+            if g.masks[v] & cmask == cmask:
+                indep.remove(v)
+                clique.add(v)
+                cmask |= 1 << v
+                moved = True
+                break
+    return SplitPartition(tuple(sorted(clique)), tuple(sorted(indep)))
 
 
 class TestClassInclusions:
