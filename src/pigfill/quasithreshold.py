@@ -16,12 +16,14 @@ v is adjacent to its whole subtree, so it joins whichever side is cheaper,
 D(v, j) = min(C(v, c, j-1), C(v, c, j)), and every C row is a palindrome
 (swapping the two cliques).
 
-A minimum co-bipartite completion is a lower bound for the minimum
-proper-interval completion of the same graph, but not always equal to it.
+On a connected input the root is universal, so every proper-interval
+supergraph is co-bipartite: the minimum co-bipartite completion is a lower
+bound for the minimum proper-interval completion, but not always equal to it.
 
 Disconnected inputs are merged under a virtual super-root that contributes no
 vertex; the cross products then charge exactly the missing inter-component
-pairs.
+pairs.  A proper-interval completion never needs those pairs, so such a cost
+bounds the PIG optimum only when it charges none of them.
 """
 
 from __future__ import annotations
@@ -172,8 +174,11 @@ def qt_cobipartite_completion(
     """Minimum co-bipartite completion with an explicit clique bipartition.
 
     Computes the rooted forest if not supplied; a supplied one must rebuild g.
-    The cost is a lower bound for the minimum proper-interval completion; the
-    result is labeled accordingly.  Ties resolve to the smallest side-1 size.
+    The result is labeled a lower bound for the minimum proper-interval
+    completion when the cost equals the sum of the components' own
+    co-bipartite optima: always on a connected input, and on a disconnected
+    one only when no pair between components is charged.  Ties resolve to the
+    smallest side-1 size.
     The fill is an ascending tuple; with ``cost_only`` it is not materialized
     and ``fill`` is None.
     """
@@ -198,10 +203,13 @@ def qt_cobipartite_completion(
             raise AssertionError("DP cost disagrees with the materialized fill")
         if not strictly_ascending(fill):
             raise AssertionError("materialized fill repeats a pair")
+    # A connected qt graph's co-bipartite optimum bounds its PIG optimum, and
+    # PIG optima add over components; the super-root's cross terms do not.
+    is_pig_bound = cost == sum(min(tables.d[r]) for r in forest.roots)
     return CompletionResult(
         fill,
         cost,
         CliqueBipartition(s1, s2),
         "qt-cobipartite",
-        lower_bound_for="pig-completion",
+        lower_bound_for="pig-completion" if is_pig_bound else None,
     )

@@ -3,10 +3,16 @@
 The CLI ``xcheck`` subcommand and the acceptance tests both run these; the
 functions return rows of (name, instances, failures) so callers can render
 them however they like.
+
+The exhaustive recognition sweep cuts its enumeration into chunks and runs
+them in forked worker processes, one per usable CPU (in process when there is
+one CPU or no ``fork``).  Rows merge in enumeration order: counts add and the
+first ten notes are kept, so the rows are the same on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 from itertools import product
@@ -44,6 +50,9 @@ from .results import validate_completion
 from .threshold import maxcut_identity_check, partition_cost, threshold_pig_completion
 
 
+_MAX_NOTES = 10  # a row keeps the notes of its first failures only
+
+
 @dataclass
 class CheckRow:
     name: str
@@ -59,8 +68,14 @@ class CheckRow:
         self.instances += 1
         if not good:
             self.failures += 1
-            if note and len(self.notes) < 10:
+            if note and len(self.notes) < _MAX_NOTES:
                 self.notes.append(note)
+
+    def add(self, later: CheckRow) -> None:
+        """Fold in the counts and notes of a later part of the same check."""
+        self.instances += later.instances
+        self.failures += later.failures
+        self.notes.extend(later.notes[: _MAX_NOTES - len(self.notes)])
 
     def line(self) -> str:
         status = "pass" if self.ok else "FAIL"
@@ -244,18 +259,36 @@ def xcheck_caterpillar(
 # recognition
 
 
-def _all_graphs(n: int):
-    """Every labelled graph on n vertices, with its rows cached as ``masks``.
+_CHUNK_GRAPHS = 2048  # the most graphs one chunk of the recognition sweep holds
 
-    Graph ``k`` has pair ``i`` of ``combinations(range(n), 2)`` iff bit i of k
-    is set.  Row u's pairs to later vertices are one run of those bits, and
-    row 0's run is the lowest, so a product over the runs with row 0 last
-    yields the graphs in the same order.  A run value contributes its bits to
-    row u and one bit u to each later row it reaches; the contributions are
-    disjoint, so each row is their sum.
+
+def _chunk_size(n: int, k: int) -> int:
+    """Graphs in a chunk of ``_all_graphs(n)`` that fixes the product's first k runs.
+
+    The product's i-th run is row n - 1 - i's, with 2^i values.
     """
+    return 1 << (n * (n - 1) // 2 - k * (k - 1) // 2)
+
+
+def _sweep_chunks(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The chunks of ``_all_graphs(n)`` in its order, as (n, fixed run values).
+
+    A chunk fixes the values of the product's first k runs (rows n - 1, n - 2,
+    ...), with k the smallest that leaves at most ``_CHUNK_GRAPHS`` graphs, so
+    the chunks are consecutive blocks of the enumeration and each one builds
+    only its own graphs.
+    """
+    k = 0
+    while _chunk_size(n, k) > _CHUNK_GRAPHS:
+        k += 1
+    return [(n, fixed) for fixed in product(*(range(1 << i) for i in range(k)))]
+
+
+def _chunk_graphs(chunk: tuple[int, tuple[int, ...]]):
+    """The graphs of one chunk of ``_all_graphs``, in its order."""
+    n, fixed = chunk
     runs = []
-    for u in range(n):
+    for u in reversed(range(n)):
         run = []
         for r in range(1 << (n - 1 - u)):
             rows = [0] * n
@@ -265,11 +298,28 @@ def _all_graphs(n: int):
             run.append(tuple(rows))
         runs.append(run)
     neighbors_of = [tuple(v for v in range(n) if row >> v & 1) for row in range(1 << n)]
-    for parts in product(*reversed(runs)):
-        masks = tuple(map(sum, zip(*parts)))
+    # the fixed runs' rows, summed once for the chunk
+    head = tuple(map(sum, zip([0] * n, *(run[r] for run, r in zip(runs, fixed)))))
+    for parts in product(*runs[len(fixed) :]):
+        masks = tuple(map(sum, zip(head, *parts)))
         g = Graph(n, tuple(map(neighbors_of.__getitem__, masks)))
         g.__dict__["masks"] = masks
         yield g
+
+
+def _all_graphs(n: int):
+    """Every labelled graph on n vertices, with its rows cached as ``masks``.
+
+    Graph ``k`` has pair ``i`` of ``combinations(range(n), 2)`` iff bit i of k
+    is set.  Row u's pairs to later vertices are one run of those bits, and
+    row 0's run is the lowest, so a product over the runs with row 0 last
+    yields the graphs in the same order.  A run value contributes its bits to
+    row u and one bit u to each later row it reaches; the contributions are
+    disjoint, so each row is their sum.  ``_sweep_chunks`` cuts the product
+    into consecutive blocks.
+    """
+    for chunk in _sweep_chunks(n):
+        yield from _chunk_graphs(chunk)
 
 
 def _has_dominating_path(g: Graph) -> bool:
@@ -304,35 +354,82 @@ def _require_sweep_n(max_n: int) -> None:
         )
 
 
+_RECOGNITION_ROWS = (
+    "threshold recognizer == {2K2, C4, P4} scan",
+    "creation sequences replay to the input",
+    "qt recognizer == {P4, C4} scan",
+    "qt forests rebuild the input",
+    "PIG recognizer == chordal + {claw, net, tent} scan",
+    "split recognizer == {2K2, C4, C5} scan",
+    "caterpillar recognizer == tree with dominating path",
+    "caterpillar decompositions rebuild the input",
+)
+
+
+def _recognition_rows(chunk: tuple[int, tuple[int, ...]]) -> list[CheckRow]:
+    """The recognition sweep's rows over one chunk of ``_all_graphs``."""
+    n = chunk[0]
+    rows = [CheckRow(name) for name in _RECOGNITION_ROWS]
+    thr, thr_replay, qt, qt_rebuild, pig, split, cater, cater_rebuild = rows
+    for g in _chunk_graphs(chunk):
+        scan = forbidden_subgraph_scans(g)
+        seq = threshold_creation_sequence(g)
+        thr.count((seq is not None) == (scan["threshold"] is None))
+        if seq is not None:
+            thr_replay.count(replay_creation_sequence(seq) == g)
+        forest = quasi_threshold_forest(g)
+        qt.count((forest is not None) == (scan["quasi-threshold"] is None))
+        if forest is not None:
+            qt_rebuild.count(qt_forest_graph(forest) == g)
+        pig.count(is_proper_interval(g).is_pig == (scan["pig"] is None))
+        split.count((split_partition(g) is not None) == (scan["split"] is None))
+        d = caterpillar_decomposition(g)
+        is_tree = g.m == g.n - 1 and len(connected_components(g)) == 1
+        cater.count((d is not None) == (is_tree and _has_dominating_path(g)), f"n={n}")
+        if d is not None:
+            cater_rebuild.count(caterpillar_graph(d) == g)
+    return rows
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_chunks(chunks: list[tuple[int, tuple[int, ...]]]) -> list[list[CheckRow]]:
+    """``_recognition_rows`` of every chunk, in chunk order, one process per usable CPU."""
+    processes = min(_usable_cpus(), len(chunks))
+    if processes > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # Forked workers start with every module loaded and inherit the
+            # parent's state, test patches included.  Pool forks all of them
+            # before it starts its own threads, so no fork sees a thread.
+            with multiprocessing.get_context("fork").Pool(processes) as pool:
+                # one chunk per task, so the workers finish within a chunk of each other
+                parts = pool.map(_recognition_rows, chunks, chunksize=1)
+                pool.close()
+                pool.join()
+            return parts
+    return list(map(_recognition_rows, chunks))
+
+
 def xcheck_recognition(max_n: int = 6) -> list[CheckRow]:
+    """Recognizers against forbidden-subgraph scans on every graph with n <= max_n.
+
+    The graphs are split into chunks that run on every usable CPU; the rows
+    are the chunks' rows merged in enumeration order, so they equal a single
+    in-process pass.
+    """
     _require_sweep_n(max_n)
-    thr = CheckRow("threshold recognizer == {2K2, C4, P4} scan")
-    thr_replay = CheckRow("creation sequences replay to the input")
-    qt = CheckRow("qt recognizer == {P4, C4} scan")
-    qt_rebuild = CheckRow("qt forests rebuild the input")
-    pig = CheckRow("PIG recognizer == chordal + {claw, net, tent} scan")
-    split = CheckRow("split recognizer == {2K2, C4, C5} scan")
-    cater = CheckRow("caterpillar recognizer == tree with dominating path")
-    cater_rebuild = CheckRow("caterpillar decompositions rebuild the input")
-    for n in range(1, max_n + 1):
-        for g in _all_graphs(n):
-            scan = forbidden_subgraph_scans(g)
-            seq = threshold_creation_sequence(g)
-            thr.count((seq is not None) == (scan["threshold"] is None))
-            if seq is not None:
-                thr_replay.count(replay_creation_sequence(seq) == g)
-            forest = quasi_threshold_forest(g)
-            qt.count((forest is not None) == (scan["quasi-threshold"] is None))
-            if forest is not None:
-                qt_rebuild.count(qt_forest_graph(forest) == g)
-            pig.count(is_proper_interval(g).is_pig == (scan["pig"] is None))
-            split.count((split_partition(g) is not None) == (scan["split"] is None))
-            d = caterpillar_decomposition(g)
-            is_tree = g.m == g.n - 1 and len(connected_components(g)) == 1
-            cater.count((d is not None) == (is_tree and _has_dominating_path(g)), f"n={n}")
-            if d is not None:
-                cater_rebuild.count(caterpillar_graph(d) == g)
-    return [thr, thr_replay, qt, qt_rebuild, pig, split, cater, cater_rebuild]
+    rows = [CheckRow(name) for name in _RECOGNITION_ROWS]
+    for part in _map_chunks([c for n in range(1, max_n + 1) for c in _sweep_chunks(n)]):
+        for row, more in zip(rows, part):
+            row.add(more)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -443,6 +445,14 @@ class TestErrorsAndXcheck:
         captured = capsys.readouterr()
         assert captured.out == ""  # refused before any suite ran
         assert captured.err.startswith("error: ") and "max_n=8" in captured.err
+
+    def test_import_loads_no_process_pool(self):
+        # the recognition sweep imports multiprocessing itself, so start-up pays for none of it
+        script = "import sys, pigfill.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
     @pytest.mark.parametrize("max_n", ["0", "-3"])
     def test_xcheck_vacuous_max_n_exit_2(self, capsys, max_n):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
+import warnings
 from itertools import combinations
 
 import pytest
@@ -20,9 +23,10 @@ from pigfill import (
     iter_non_edges,
     non_edges_within,
 )
+from pigfill import xcheck
 from pigfill.oracle import _CLASS4, _PAIRS4, FAMILIES, _claw_or_c4, _induced_cycle, _net_or_tent
 from pigfill.recognition import pig_mask_check
-from pigfill.xcheck import _all_graphs as _sweep_graphs
+from pigfill.xcheck import _all_graphs as _sweep_graphs, _chunk_graphs, _chunk_size, _sweep_chunks
 
 from test_graph import graphs
 
@@ -290,6 +294,16 @@ class TestExhaustiveSweep:
             got = list(_sweep_graphs(n))
             assert got == want, n
             assert [g.__dict__["masks"] for g in got] == [g.masks for g in want], n
+            # the sweep's chunks are consecutive blocks of the same enumeration
+            chunks = _sweep_chunks(n)
+            parts = [list(_chunk_graphs(chunk)) for chunk in chunks]
+            assert [g for part in parts for g in part] == want, n
+            assert [len(part) for part in parts] == [_chunk_size(n, len(fixed)) for _, fixed in chunks], n
+
+    def test_chunk_sizes_cover_n7_without_building(self):
+        chunks = _sweep_chunks(7)
+        assert len(set(chunks)) == len(chunks) > 1
+        assert sum(_chunk_size(n, len(fixed)) for n, fixed in chunks) == 1 << 21
 
     def _assert_scans_match_plain(self, graphs, one_family):
         for g in graphs:
@@ -314,6 +328,63 @@ class TestExhaustiveSweep:
                 yield build_graph(n, [e for e in pairs if rng.random() < p])
 
         self._assert_scans_match_plain(sample(), one_family=True)
+
+
+def _caterpillar_failing_on_edge_0_last(real, calls_here):
+    # fails on every labelled caterpillar with n >= 4 that has the pair
+    # (0, n - 1): by symmetry 2/n of the 16, 125 and 1296 with n = 4, 5, 6;
+    # calls_here counts the calls made in this process, not in a worker
+    here = os.getpid()
+
+    def patched(g):
+        if os.getpid() == here:
+            calls_here.append(g.n)
+        return None if g.n >= 4 and g.has_edge(0, g.n - 1) else real(g)
+
+    return patched
+
+
+class TestParallelSweep:
+    """The recognition sweep over forked workers against the in-process pass."""
+
+    @staticmethod
+    def _lines(monkeypatch, cpus):
+        monkeypatch.setattr(xcheck, "_usable_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = xcheck.xcheck_recognition()
+        assert not [w for w in caught if "fork" in str(w.message)]
+        assert multiprocessing.active_children() == []
+        return rows, [row.line() for row in rows]
+
+    def test_rows_equal_in_process_rows(self, monkeypatch):
+        _, serial = self._lines(monkeypatch, 1)
+        _, forked = self._lines(monkeypatch, 2)
+        assert forked == serial
+        assert all(line.startswith("pass") for line in serial)
+
+    def test_failures_and_notes_reach_the_parent(self, monkeypatch):
+        calls_here = []
+        monkeypatch.setattr(
+            xcheck,
+            "caterpillar_decomposition",
+            _caterpillar_failing_on_edge_0_last(xcheck.caterpillar_decomposition, calls_here),
+        )
+        real_seq = xcheck.threshold_creation_sequence
+        monkeypatch.setattr(
+            xcheck, "threshold_creation_sequence", lambda g: None if g.n == 6 and g.has_edge(0, 5) else real_seq(g)
+        )
+        _, serial = self._lines(monkeypatch, 1)
+        assert len(calls_here) == 33867
+        del calls_here[:]
+        rows, forked = self._lines(monkeypatch, 2)
+        assert calls_here == []  # every graph was checked in a worker
+        assert forked == serial
+        thr, thr_replay, *_, cater, cater_rebuild = rows
+        assert thr.failures > 0 and thr_replay.instances == 3263 - thr.failures
+        assert cater.failures == 16 * 2 // 4 + 125 * 2 // 5 + 1296 * 2 // 6
+        assert cater.notes == ["n=4"] * 8 + ["n=5"] * 2  # the first ten, in enumeration order
+        assert cater_rebuild.instances == 1442 - cater.failures
 
 
 class TestOracleAgreement:

@@ -8,11 +8,14 @@ from pigfill import (
     ClassMembershipError,
     GraphInputError,
     brute_min_cobipartite,
+    brute_min_pig,
     build_dp_tables,
     build_graph,
+    enumerate_rooted_forests,
     forest_from_parents,
     partition_cost,
     qt_cobipartite_completion,
+    qt_forest_graph,
     quasi_threshold_forest,
     validate_completion,
 )
@@ -75,6 +78,30 @@ class TestCompletion:
         res = qt_cobipartite_completion(g)
         assert res.cost == 1  # a 2+1 split leaves one non-edge inside a part
         assert res.cost == brute_min_cobipartite(g)[0]
+
+    @pytest.mark.parametrize(
+        "n, edges, cost",
+        [
+            (3, [], 1),  # 3K1
+            (6, [(0, 1), (2, 3), (4, 5)], 4),  # 3K2
+            (8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)], 6),  # 2K1,3
+        ],
+    )
+    def test_cost_above_pig_optimum_is_not_labeled(self, n, edges, cost):
+        g = build_graph(n, edges)
+        res = qt_cobipartite_completion(g)
+        assert res.cost == cost > brute_min_pig(g)[0]
+        assert res.lower_bound_for is None
+
+    def test_label_is_a_pig_lower_bound(self):
+        for n in range(1, 8):
+            for forest in enumerate_rooted_forests(n):
+                g = qt_forest_graph(forest)
+                res = qt_cobipartite_completion(g, forest, cost_only=True)
+                if len(forest.roots) == 1:
+                    assert res.lower_bound_for == "pig-completion", forest.parent
+                if res.lower_bound_for:
+                    assert res.cost <= brute_min_pig(g)[0], forest.parent
 
     def test_p4_rejected(self, p4):
         with pytest.raises(ClassMembershipError) as err:
