@@ -26,6 +26,7 @@ from .graph import (
     Graph,
     apply_fill,
     build_graph,
+    clique_pair_fill,
     complement,
     connected_components,
     edge,

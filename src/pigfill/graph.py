@@ -189,6 +189,19 @@ def non_edges_within(g: Graph, s: Iterable[int]) -> tuple[Edge, ...]:
     return tuple(out)
 
 
+def clique_pair_fill(g: Graph, s1: Iterable[int], s2: Iterable[int]) -> tuple[Edge, ...]:
+    """The pairs that make s1 and s2 cliques: non-edges inside each, ascending.
+
+    Each side's pairs are one ascending run, which timsort merges in linear
+    time.  Raises AssertionError when the runs share a pair, so that a cost
+    check against the fill's length cannot count a pair twice.
+    """
+    fill = tuple(sorted(non_edges_within(g, s1) + non_edges_within(g, s2)))
+    if not strictly_ascending(fill):
+        raise AssertionError("clique pair fill repeats a pair")
+    return fill
+
+
 def _check_subset(g: Graph, s: list[int]) -> None:
     if s and (s[0] < 0 or s[-1] >= g.n):
         bad = s[0] if s[0] < 0 else s[-1]

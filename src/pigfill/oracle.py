@@ -424,6 +424,9 @@ def _pig_large_subsets(masks: tuple[int, ...], n: int) -> Witness | None:
     return None
 
 
+WITNESS_CAP = 64  # the scans are quartic: recognizers skip them on larger rejected inputs
+
+
 def forbidden_subgraph_scan(g: Graph, family: str) -> Witness | None:
     """First induced forbidden subgraph for one family; see ``forbidden_subgraph_scans``."""
     return forbidden_subgraph_scans(g, (family,))[family]

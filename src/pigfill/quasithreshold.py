@@ -16,14 +16,19 @@ v is adjacent to its whole subtree, so it joins whichever side is cheaper,
 D(v, j) = min(C(v, c, j-1), C(v, c, j)), and every C row is a palindrome
 (swapping the two cliques).
 
+The argmin k of each merge is kept in one row per merged child, and one byte
+per (v, j) records whether v joins side 1; the backtrack walks a single stack
+of (vertex, side-1 count) pairs down those rows.
+
 On a connected input the root is universal, so every proper-interval
 supergraph is co-bipartite: the minimum co-bipartite completion is a lower
 bound for the minimum proper-interval completion, but not always equal to it.
 
-Disconnected inputs are merged under a virtual super-root that contributes no
-vertex; the cross products then charge exactly the missing inter-component
-pairs.  A proper-interval completion never needs those pairs, so such a cost
-bounds the PIG optimum only when it charges none of them.
+Disconnected inputs are merged under a virtual super-root, vertex index n,
+that contributes no vertex; the cross products then charge exactly the
+missing inter-component pairs.  A proper-interval completion never needs
+those pairs, so such a cost bounds the PIG optimum only when it charges none
+of them.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClassMembershipError, GraphInputError
-from .graph import Graph, non_edges_within, strictly_ascending
-from .oracle import forbidden_subgraph_scan
+from .graph import Graph, clique_pair_fill
+from .oracle import WITNESS_CAP, forbidden_subgraph_scan
 from .recognition import (
     QtForest,
     forest_from_parents,
@@ -42,35 +47,33 @@ from .recognition import (
 )
 from .results import CliqueBipartition, CompletionResult
 
-_WITNESS_CAP = 64
-_SUPER_ROOT = -1
-
 
 @dataclass(frozen=True)
 class DpTables:
-    """DP state: D rows per vertex, the top-level row, argmin records.
+    """DP state: D rows per vertex, the top-level row, argmins per merged child.
 
-    Only the finished row per (vertex, child-index) survives when
-    ``keep_cells`` was requested; otherwise rows are dropped as soon as the
-    next child is merged, leaving O(n) live cost cells plus the choice map.
-    ``prefix[v][i]`` is the combined size of the first i child subtrees.
+    Vertex index n stands for the super-root, whose children are ``f.roots``.
+    ``choice[v][i][j]`` is the argmin k that merged child i of v (0-based) into
+    C(v, i+1, j); ``joins[v][j]`` is 1 where v itself takes side 1 in D(v, j).
+    Only with ``keep_cells`` does the finished row per (vertex, child count)
+    survive; otherwise each row is dropped once the next child is merged,
+    leaving O(n) live cost cells beside the argmin rows.
     """
 
-    d: dict[int, tuple[int, ...]]
+    d: tuple[tuple[int, ...], ...]
     root_row: tuple[int, ...]
-    prefix: dict[int, tuple[int, ...]]
-    choice: dict[tuple[int, int, int], int]
-    d_side: dict[tuple[int, int], int]  # (v, j) -> side v itself takes (1 or 2)
+    choice: tuple[tuple[tuple[int, ...], ...], ...]
+    joins: tuple[bytes, ...]
     cells: dict[tuple[int, int], tuple[int, ...]] | None
     eval_count: int
 
 
 def build_dp_tables(f: QtForest, *, keep_cells: bool = False) -> DpTables:
     """Fill the tables bottom-up, children in id order, smallest-k tie-break."""
-    d: dict[int, tuple[int, ...]] = {}
-    prefix: dict[int, tuple[int, ...]] = {}
-    choice: dict[tuple[int, int, int], int] = {}
-    d_side: dict[tuple[int, int], int] = {}
+    n = f.n
+    d: list[tuple[int, ...]] = [()] * n
+    choice: list[tuple[tuple[int, ...], ...]] = [()] * (n + 1)
+    joins: list[bytes] = [b""] * n
     cells: dict[tuple[int, int], tuple[int, ...]] | None = {} if keep_cells else None
     evals = 0
 
@@ -78,7 +81,7 @@ def build_dp_tables(f: QtForest, *, keep_cells: bool = False) -> DpTables:
         nonlocal evals
         prev: tuple[int, ...] = (0,)
         x_prev = 0
-        xs = [0]
+        rows = []
         if cells is not None:
             cells[(v, 0)] = prev
         for i, ch in enumerate(kids, start=1):
@@ -86,6 +89,7 @@ def build_dp_tables(f: QtForest, *, keep_cells: bool = False) -> DpTables:
             d_ch = d[ch]
             x_i = x_prev + n_ch
             cur = [0] * (x_i + 1)
+            picks = [0] * (x_i + 1)
             for j in range(x_i + 1):
                 lo = j - n_ch if j > n_ch else 0
                 hi = j if j < x_prev else x_prev
@@ -97,74 +101,53 @@ def build_dp_tables(f: QtForest, *, keep_cells: bool = False) -> DpTables:
                     if best is None or val < best:
                         best, best_k = val, k
                 cur[j] = best  # type: ignore[assignment]
-                choice[(v, i, j)] = best_k
+                picks[j] = best_k
             prev = tuple(cur)
+            rows.append(tuple(picks))
             x_prev = x_i
-            xs.append(x_i)
             if cells is not None:
                 cells[(v, i)] = prev
-        prefix[v] = tuple(xs)
+        choice[v] = tuple(rows)
         return prev
 
     for v in qt_forest_postorder(f):
         row = combine(v, f.children[v])  # C(v, c_v, .), indices 0..n_v-1
         n_v = f.subtree_size[v]
+        # v joins side 1 where that is no dearer; always at j = n_v, never at 0
+        join = bytearray(n_v + 1)
         drow = [row[0]]
-        d_side[(v, 0)] = 2
         for j in range(1, n_v):
-            if row[j - 1] <= row[j]:
-                drow.append(row[j - 1])
-                d_side[(v, j)] = 1
-            else:
-                drow.append(row[j])
-                d_side[(v, j)] = 2
+            join[j] = row[j - 1] <= row[j]
+            drow.append(row[j - 1] if join[j] else row[j])
+        join[n_v] = 1
         drow.append(row[n_v - 1])
-        d_side[(v, n_v)] = 1
         d[v] = tuple(drow)
-    root_row = combine(_SUPER_ROOT, f.roots)
-    return DpTables(d, root_row, prefix, choice, d_side, cells, evals)
-
-
-def _subtree_vertices(f: QtForest, v: int) -> list[int]:
-    out = []
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        out.append(u)
-        stack.extend(f.children[u])
-    return out
+        joins[v] = bytes(join)
+    root_row = combine(n, f.roots)
+    return DpTables(tuple(d), root_row, tuple(choice), tuple(joins), cells, evals)
 
 
 def _backtrack(f: QtForest, tables: DpTables, j_star: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    side = [2] * f.n
-    # ("C", v, i, j): split j side-1 slots over the first i children of v;
-    # ("D", v, j): give j vertices of v's subtree to side 1.
-    stack: list[tuple[str, int, int, int]] = [("C", _SUPER_ROOT, len(f.roots), j_star)]
+    """Sides of the split that C(super-root, all roots, j_star) charges, side 1 of size j_star."""
+    n = f.n
+    in_s1 = bytearray(n)
+    stack = [(n, j_star)]  # (vertex, vertices of its subtree on side 1)
     while stack:
-        kind, v, i, j = stack.pop()
-        if kind == "C":
-            if i == 0:
-                continue
-            k = tables.choice[(v, i, j)]
-            kids = f.roots if v == _SUPER_ROOT else f.children[v]
-            stack.append(("C", v, i - 1, k))
-            stack.append(("D", kids[i - 1], 0, j - k))
+        v, j = stack.pop()
+        if v == n:
+            kids = f.roots
         else:
-            v_, share = v, j
-            n_v = f.subtree_size[v_]
-            if share == 0:
-                continue  # whole subtree stays on side 2
-            if share == n_v:
-                for u in _subtree_vertices(f, v_):
-                    side[u] = 1
-                continue
-            if tables.d_side[(v_, share)] == 1:
-                side[v_] = 1
-                stack.append(("C", v_, f.child_count[v_], share - 1))
-            else:
-                stack.append(("C", v_, f.child_count[v_], share))
-    s1 = tuple(w for w in range(f.n) if side[w] == 1)
-    s2 = tuple(w for w in range(f.n) if side[w] == 2)
+            kids = f.children[v]
+            if tables.joins[v][j]:
+                in_s1[v] = 1
+                j -= 1
+        rows = tables.choice[v]
+        for i in range(len(kids) - 1, -1, -1):
+            k = rows[i][j]
+            stack.append((kids[i], j - k))
+            j = k
+    s1 = tuple(w for w in range(n) if in_s1[w])
+    s2 = tuple(w for w in range(n) if not in_s1[w])
     return s1, s2
 
 
@@ -185,7 +168,7 @@ def qt_cobipartite_completion(
     if forest is None:
         forest = quasi_threshold_forest(g)
         if forest is None:
-            witness = forbidden_subgraph_scan(g, "quasi-threshold") if g.n <= _WITNESS_CAP else None
+            witness = forbidden_subgraph_scan(g, "quasi-threshold") if g.n <= WITNESS_CAP else None
             raise ClassMembershipError("quasi-threshold", witness)
     elif forest != forest_from_parents(list(forest.parent)) or qt_forest_graph(forest) != g:
         raise GraphInputError("quasi-threshold forest does not rebuild the input graph")
@@ -197,12 +180,9 @@ def qt_cobipartite_completion(
         raise AssertionError("backtracked side size disagrees with the argmin")
     fill = None
     if not cost_only:
-        # each side's pairs are one ascending run, which timsort merges in linear time
-        fill = tuple(sorted(non_edges_within(g, s1) + non_edges_within(g, s2)))
+        fill = clique_pair_fill(g, s1, s2)
         if len(fill) != cost:
             raise AssertionError("DP cost disagrees with the materialized fill")
-        if not strictly_ascending(fill):
-            raise AssertionError("materialized fill repeats a pair")
     # A connected qt graph's co-bipartite optimum bounds its PIG optimum, and
     # PIG optima add over components; the super-root's cross terms do not.
     is_pig_bound = cost == sum(min(tables.d[r]) for r in forest.roots)

@@ -460,14 +460,13 @@ def threshold_creation_sequence(g: Graph) -> CreationSequence | None:
 class QtForest:
     """Rooted forest whose strict ancestor pairs are exactly the edges.
 
-    Caches subtree sizes and child counts; children lists are sorted by id.
+    Caches subtree sizes; children lists are sorted by id.
     """
 
     parent: tuple[int | None, ...]
     roots: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
     subtree_size: tuple[int, ...]
-    child_count: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -502,7 +501,6 @@ def forest_from_parents(parents: list[int | None]) -> QtForest:
         roots=tuple(sorted(roots)),
         children=tuple(tuple(sorted(c)) for c in children),
         subtree_size=tuple(size),
-        child_count=tuple(len(c) for c in children),
     )
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClassMembershipError, GraphInputError
-from .graph import Graph, complement, induced_subgraph, non_edges_within, strictly_ascending
-from .oracle import OracleBudget, brute_max_cut, forbidden_subgraph_scan
+from .graph import Graph, clique_pair_fill, complement, induced_subgraph, non_edges_within
+from .oracle import WITNESS_CAP, OracleBudget, brute_max_cut, forbidden_subgraph_scan
 from .recognition import (
     DOMINATING,
     ISOLATED,
@@ -27,8 +27,6 @@ from .recognition import (
     threshold_creation_sequence,
 )
 from .results import CliqueBipartition, CompletionResult
-
-_WITNESS_CAP = 64  # forbidden-subgraph scans are quartic; skip them on big inputs
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ def threshold_run(g: Graph, sequence: CreationSequence | None = None) -> Thresho
     if sequence is None:
         sequence = threshold_creation_sequence(g)
         if sequence is None:
-            witness = forbidden_subgraph_scan(g, "threshold") if g.n <= _WITNESS_CAP else None
+            witness = forbidden_subgraph_scan(g, "threshold") if g.n <= WITNESS_CAP else None
             raise ClassMembershipError("threshold", witness)
     elif not creation_sequence_matches(g, sequence):
         raise GraphInputError("creation sequence does not replay to the input graph")
@@ -124,12 +122,9 @@ def threshold_pig_completion(
     cert = CliqueBipartition(s1, s2)
     if cost_only:
         return CompletionResult(None, run.cost, cert, "threshold")
-    # each side's pairs are one ascending run, which timsort merges in linear time
-    fill = tuple(sorted(non_edges_within(g, s1) + non_edges_within(g, s2)))
+    fill = clique_pair_fill(g, s1, s2)
     if len(fill) != run.cost:
         raise AssertionError("incremental cost disagrees with materialized fill")
-    if not strictly_ascending(fill):
-        raise AssertionError("materialized fill repeats a pair")
     return CompletionResult(fill, run.cost, cert, "threshold", order=_clique_pair_order(g, s1, s2, run.stripped))
 
 

@@ -19,6 +19,7 @@ from pigfill import (
     quasi_threshold_forest,
     validate_completion,
 )
+from pigfill.quasithreshold import _backtrack
 
 
 class TestDpTables:
@@ -53,6 +54,20 @@ class TestDpTables:
         forest = forest_from_parents([None] + list(range(31)))  # chain, K32
         tables = build_dp_tables(forest)
         assert tables.eval_count <= 3 * 32**3
+
+
+class TestBacktrack:
+    def test_every_side_count_on_small_forests(self):
+        # not only the argmin: every j of the root row backtracks to a split of its cost
+        for n in range(1, 9):
+            for forest in enumerate_rooted_forests(n):
+                g = qt_forest_graph(forest)
+                tables = build_dp_tables(forest)
+                for j in range(n + 1):
+                    s1, s2 = _backtrack(forest, tables, j)
+                    assert len(s1) == j and not set(s1) & set(s2), (forest.parent, j)
+                    assert set(s1) | set(s2) == set(range(n)), (forest.parent, j)
+                    assert partition_cost(g, (s1, s2)) == tables.root_row[j], (forest.parent, j)
 
 
 class TestCompletion:

@@ -216,7 +216,7 @@ class TestQuasiThresholdRecognizer:
         f = quasi_threshold_forest(claw)
         assert f.roots == (0,)
         assert f.children[0] == (1, 2, 3)
-        assert f.subtree_size[0] == 4 and f.child_count[0] == 3
+        assert f.subtree_size[0] == 4 and len(f.children[0]) == 3
 
     def test_p4_rejected(self, p4):
         assert quasi_threshold_forest(p4) is None
