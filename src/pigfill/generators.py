@@ -3,14 +3,14 @@ split-graph gadget that doubles a split instance around one large clique.
 
 Same seed, same instance: all randomness flows through ``random.Random(seed)``
 and every tie-break is fixed, so generated graphs serialize identically across
-runs.
+runs.  Rooted forests come from the level sequences of Beyer and Hedetniemi
+(*Constant time generation of rooted trees*, SIAM J. Comput. 9, 1980).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -80,58 +80,35 @@ def gen_quasi_threshold(n: int, seed: int = 0) -> tuple[Graph, QtForest]:
     return qt_forest_graph(forest), forest
 
 
-def _tree_forms(max_size: int) -> list[list[tuple]]:
-    """trees[k] = canonical forms of rooted trees on k vertices."""
-    trees: list[list[tuple]] = [[] for _ in range(max_size + 1)]
-    if max_size >= 1:
-        trees[1] = [()]
-    for k in range(2, max_size + 1):
-        trees[k] = [form for form in _forest_forms_list(k - 1, trees)]
-    return trees
-
-
-def _forest_forms_list(total: int, trees: list[list[tuple]]) -> list[tuple]:
-    out: list[tuple] = []
-
-    def rec(remaining: int, bound: tuple[int, int], acc: list[tuple]) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        hi_size = min(remaining, bound[0])
-        for size in range(hi_size, 0, -1):
-            idx_top = len(trees[size]) - 1 if size < bound[0] else min(bound[1], len(trees[size]) - 1)
-            for idx in range(idx_top, -1, -1):
-                acc.append(trees[size][idx])
-                rec(remaining - size, (size, idx), acc)
-                acc.pop()
-
-    rec(total, (total, 10**9), [])
-    return out
-
-
-@lru_cache(maxsize=None)
-def _forests_cached(n: int) -> tuple[tuple, ...]:
-    trees = _tree_forms(n)
-    return tuple(_forest_forms_list(n, trees))
-
-
 def enumerate_rooted_forests(n: int) -> Iterator[QtForest]:
     """All rooted forests on n vertices up to isomorphism, as parent arrays
-    labeled in preorder (so children lists come out sorted)."""
+    labeled in preorder (so children lists come out sorted).
+
+    Each is a rooted tree on n + 1 vertices with the root dropped, walked as
+    its canonical level sequence (depths in preorder) from the path to the
+    star: the successor takes the last level p above 1 and the last earlier
+    level q one below it, and from p on repeats the block q..p-1.
+    """
     if n < 0:
         raise GraphInputError("n must be nonnegative")
-    for forest in _forests_cached(n):
+    levels = list(range(n + 1))
+    while True:
+        last: list[int | None] = [None] * (n + 1)  # last[d]: latest vertex at depth d
         parents: list[int | None] = []
-
-        def lay(form: tuple, parent: int | None) -> None:
-            me = len(parents)
-            parents.append(parent)
-            for child in form:
-                lay(child, me)
-
-        for tree in forest:
-            lay(tree, None)
+        for v, depth in enumerate(levels[1:]):
+            parents.append(last[depth - 1])
+            last[depth] = v
         yield forest_from_parents(parents)
+        p = n
+        while p > 0 and levels[p] <= 1:
+            p -= 1
+        if p == 0:
+            return
+        q = p - 1
+        while levels[q] != levels[p] - 1:
+            q -= 1
+        for i in range(p, n + 1):
+            levels[i] = levels[i - (p - q)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Exhaustive reference solvers used as ground truth in tests and cross-checks.
 
 These search the whole space (fill-edge subsets, bipartitions, vertex
-subsets) and never share code with the fast algorithms they certify.  The PIG
-oracle skips only branches that leave an induced claw or chordless C4 unfixed,
-which no answer can do; the other searches enumerate everything.  Budgets make
-the exponential cost explicit: inputs over budget are refused, never
-truncated.
+subsets).  One piece is shared with the fast algorithms they certify: the PIG
+oracle tests candidates with ``recognition.pig_mask_check``, the claw,
+chordless-cycle, net and tent search that the proper-interval recognizer runs
+only to name the witness of a rejection.  The recognizer's accept path, the
+3-sweep LexBFS umbrella order, is not shared.  The PIG oracle skips only
+branches that leave an induced claw or chordless C4 unfixed, which no answer
+can do; the other searches enumerate everything.  Budgets make the
+exponential cost explicit: inputs over budget are refused, never truncated.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .recognition import pig_mask_check
 @dataclass(frozen=True)
 class OracleBudget:
     max_vertices: int = 8
-    max_fill: int | None = None
 
 
 def _require(n: int, budget: OracleBudget, what: str) -> None:
@@ -69,8 +71,6 @@ def brute_min_pig(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Ed
         inc[v] |= 1 << i
     masks = list(g.masks)
     for k in range(len(non_edges) + 1):
-        if budget.max_fill is not None and k > budget.max_fill:
-            raise OracleBudgetError(f"no completion within the fill cap {budget.max_fill}")
         picks = _first_picks(masks, n, non_edges, inc, 0, k, 0)
         if picks is not None:
             return k, frozenset(non_edges[i] for i in picks)
@@ -167,88 +167,61 @@ def _set_lex_less(a_mask: int, b_mask: int) -> bool:
     return bool(a_mask & (diff & -diff))
 
 
-def _sweep_bipartitions(g: Graph, maximize_cut: bool) -> tuple[int, int]:
+Parts = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _best_bipartition(g: Graph, budget: OracleBudget | None, maximize_cut: bool, what: str) -> tuple[int, Parts]:
     """Exhaustive Gray-code sweep over all bipartitions with vertex 0 fixed in A.
 
-    Returns (best score, best A-mask).  Score is the cut size when
-    ``maximize_cut`` else the number of non-edges within the two parts.
+    Returns (best score, (A, B)).  Score is the cut size when ``maximize_cut``
+    else the number of non-edges within the two parts.  Ties resolve to the
+    lexicographically least A (see ``_set_lex_less``).
     """
+    budget = budget or OracleBudget(max_vertices=20)
+    _require(g.n, budget, what)
     n = g.n
+    if n == 0:
+        return 0, ((), ())
     masks = g.masks
-    full = (1 << n) - 1
-    a_mask = full
+    a_mask = (1 << n) - 1
     b_mask = 0
-    if maximize_cut:
-        score = 0
-    else:
-        score = n * (n - 1) // 2 - g.m
+    score = 0 if maximize_cut else n * (n - 1) // 2 - g.m
     best, best_a = score, a_mask
-    steps = 1 << max(n - 1, 0)
-    for t in range(1, steps):
+    for t in range(1, 1 << (n - 1)):
         v = (t & -t).bit_length()  # flipped vertex: trailing zeros of t, shifted past vertex 0
         bit = 1 << v
         adj = masks[v]
-        if b_mask & bit:  # v moves B -> A
-            deg_b = (adj & b_mask).bit_count()
-            deg_a = (adj & a_mask).bit_count()
-            if maximize_cut:
-                score += deg_b - deg_a
-            else:
-                size_b = b_mask.bit_count()
-                size_a = a_mask.bit_count()
-                score -= size_b - 1 - deg_b
-                score += size_a - deg_a
-            b_mask &= ~bit
-            a_mask |= bit
-        else:  # v moves A -> B
-            deg_a = (adj & a_mask).bit_count()
-            deg_b = (adj & b_mask).bit_count()
-            if maximize_cut:
-                score += deg_a - deg_b
-            else:
-                size_a = a_mask.bit_count()
-                size_b = b_mask.bit_count()
-                score -= size_a - 1 - deg_a
-                score += size_b - deg_b
-            a_mask &= ~bit
-            b_mask |= bit
+        if b_mask & bit:
+            src, dst = b_mask, a_mask
+        else:
+            src, dst = a_mask, b_mask
+        deg_src = (adj & src).bit_count()
+        deg_dst = (adj & dst).bit_count()
+        if maximize_cut:
+            score += deg_src - deg_dst
+        else:
+            score += dst.bit_count() - deg_dst - (src.bit_count() - 1 - deg_src)
+        a_mask ^= bit
+        b_mask ^= bit
         better = score > best if maximize_cut else score < best
         if better or (score == best and _set_lex_less(a_mask, best_a)):
             best, best_a = score, a_mask
-    return best, best_a
+    a = tuple(v for v in range(n) if best_a >> v & 1)
+    b = tuple(v for v in range(n) if not best_a >> v & 1)
+    return best, (a, b)
 
 
-def _parts_from_mask(n: int, a_mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    a = tuple(v for v in range(n) if a_mask >> v & 1)
-    b = tuple(v for v in range(n) if not a_mask >> v & 1)
-    return a, b
-
-
-def brute_min_cobipartite(
-    g: Graph, budget: OracleBudget | None = None
-) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+def brute_min_cobipartite(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Parts]:
     """Minimum fill turning the graph into two cliques, over all bipartitions.
 
     Ties resolve to the lexicographically least part containing vertex 0.
     """
-    budget = budget or OracleBudget(max_vertices=20)
-    _require(g.n, budget, "brute_min_cobipartite")
-    if g.n == 0:
-        return 0, ((), ())
-    cost, a_mask = _sweep_bipartitions(g, maximize_cut=False)
-    return cost, _parts_from_mask(g.n, a_mask)
+    return _best_bipartition(g, budget, False, "brute_min_cobipartite")
 
 
-def brute_max_cut(
-    g: Graph, budget: OracleBudget | None = None
-) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+def brute_max_cut(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Parts]:
     """Maximum cut over all bipartitions, same tie rule as the co-bipartite sweep."""
-    budget = budget or OracleBudget(max_vertices=20)
-    _require(g.n, budget, "brute_max_cut")
-    if g.n == 0:
-        return 0, ((), ())
-    size, a_mask = _sweep_bipartitions(g, maximize_cut=True)
-    return size, _parts_from_mask(g.n, a_mask)
+    return _best_bipartition(g, budget, True, "brute_max_cut")
 
 
 # ---------------------------------------------------------------------------

@@ -162,35 +162,46 @@ def _independent_triple(masks, xs: int, ys: int, zs: int) -> tuple[int, int, int
     return None
 
 
-def _find_net(masks, n: int) -> tuple[int, ...] | None:
-    """Triangle with a private pendant on each corner, all pendants independent."""
+def _find_net_or_tent(masks, n: int) -> tuple[str, tuple[int, ...]] | None:
+    """First net, else first tent, in one walk over the triangles.
+
+    A net hangs a private pendant on each corner, a tent puts on each side a
+    vertex adjacent to exactly that side; the three outer vertices are
+    independent.  The walk keeps the first tent for when no net follows.
+    """
+    tent = None
     for a, b, c in _iter_triangles(masks, n):
         ca, cb, cc = masks[a] | 1 << a, masks[b] | 1 << b, masks[c] | 1 << c
         triple = _independent_triple(masks, ca & ~cb & ~cc, cb & ~ca & ~cc, cc & ~ca & ~cb)
         if triple is not None:
-            return (a, b, c) + triple
-    return None
+            return "net", (a, b, c) + triple
+        if tent is None:
+            triple = _independent_triple(masks, ca & cb & ~cc, cb & cc & ~ca, ca & cc & ~cb)
+            if triple is not None:
+                tent = (a, b, c) + triple
+    return None if tent is None else ("tent", tent)
 
 
-def _find_tent(masks, n: int) -> tuple[int, ...] | None:
-    """Triangle with an independent vertex on each side adjacent to exactly that side."""
-    for a, b, c in _iter_triangles(masks, n):
-        ca, cb, cc = masks[a] | 1 << a, masks[b] | 1 << b, masks[c] | 1 << c
-        triple = _independent_triple(masks, ca & cb & ~cc, cb & cc & ~ca, ca & cc & ~cb)
-        if triple is not None:
-            return (a, b, c) + triple
-    return None
+def _pig_obstruction(masks, n: int) -> tuple[str, tuple[int, ...]] | None:
+    """First obstruction to proper-interval membership, as (kind, vertices), or None.
+
+    Tried in turn: a claw, a failed elimination step of the reversed LexBFS
+    order (so a chordless cycle), a net, a tent.  A ``chordless-cycle`` entry
+    holds the violation (v, u, w) of ``_peo_violation``, which
+    ``_cycle_through`` closes into the cycle.
+    """
+    claw = _find_claw(masks, n)
+    if claw is not None:
+        return "claw", claw
+    violation = _peo_violation(masks, n)
+    if violation is not None:
+        return "chordless-cycle", violation
+    return _find_net_or_tent(masks, n)
 
 
 def pig_mask_check(masks, n: int) -> bool:
     """Fast proper-interval membership test on raw adjacency masks."""
-    if _find_claw(masks, n) is not None:
-        return False
-    if _peo_violation(masks, n) is not None:
-        return False
-    if _find_net(masks, n) is not None:
-        return False
-    return _find_tent(masks, n) is None
+    return _pig_obstruction(masks, n) is None
 
 
 def _lbfs(masks, n: int) -> list[int]:
@@ -328,24 +339,17 @@ def is_proper_interval(g: Graph) -> PigVerdict:
     if order is not None and is_umbrella_order(g, order):
         return PigVerdict(True, order=order)
     masks, n = g.masks, g.n
-    claw = _find_claw(masks, n)
-    if claw is not None:
-        return PigVerdict(False, "claw", claw)
-    violation = _peo_violation(masks, n)
-    if violation is not None:
-        cycle = _cycle_through(masks, n, *violation)
-        if cycle is None:  # pragma: no cover - a failed LexBFS order closes a cycle
+    found = _pig_obstruction(masks, n)
+    if found is None:
+        raise AssertionError(
+            "the 3-sweep order is not an umbrella order, yet no claw, net, tent or chordless cycle was found"
+        )
+    kind, witness = found
+    if kind == "chordless-cycle":
+        witness = _cycle_through(masks, n, *witness)
+        if witness is None:  # pragma: no cover - a failed LexBFS order closes a cycle
             raise AssertionError("the LexBFS elimination order failed without a chordless cycle")
-        return PigVerdict(False, "chordless-cycle", cycle)
-    net = _find_net(masks, n)
-    if net is not None:
-        return PigVerdict(False, "net", net)
-    tent = _find_tent(masks, n)
-    if tent is not None:
-        return PigVerdict(False, "tent", tent)
-    raise AssertionError(
-        "the 3-sweep order is not an umbrella order, yet no claw, net, tent or chordless cycle was found"
-    )
+    return PigVerdict(False, kind, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +669,10 @@ class SplitPartition:
 def split_partition(g: Graph) -> SplitPartition | None:
     """Split partition via the degree-sequence criterion, or None.
 
+    Hammer and Simeone (*The splittance of a graph*, Combinatorica 1, 1981):
+    with degrees d_1 >= ... >= d_n and h the largest i with d_i >= i - 1,
+    the graph is split iff sum_{i<=h} d_i = h(h - 1) + sum_{i>h} d_i.
+
     The raw top-degree clique is normalized by absorbing any independent
     vertex that is complete to it (there is at most one at a time).  Reads
     the neighbour tuples only: ``inside[w]`` counts w's neighbours in the
@@ -689,12 +697,9 @@ def split_partition(g: Graph) -> SplitPartition | None:
     inside = [sum(map(in_clique.__getitem__, nb)) for nb in neighbors]
     clique = set(order[:h])
     indep = set(order[h:])
-    for v in clique:
-        if inside[v] != h - 1:
-            return None  # defensive; the degree criterion should guarantee this
-    for u in indep:
-        if inside[u] != degree[u]:
-            return None  # defensive: u has an independent neighbour
+    # Equality in the criterion forces the top h to be a clique and the rest independent
+    if any(inside[v] != h - 1 for v in clique) or any(inside[u] != degree[u] for u in indep):
+        raise AssertionError("the Hammer-Simeone degree criterion held without a split partition")
     moved = True
     while moved:
         moved = False

@@ -83,6 +83,15 @@ class CheckRow:
         return f"{status:4}  {self.name:<55} {self.instances:>7} instances, {self.failures} failures{extra}"
 
 
+def _valid_pig_completion(g: Graph, res) -> bool:
+    """The result passes ``validate_completion`` and its fill makes g proper interval."""
+    try:
+        validate_completion(g, res)
+    except ValueError:
+        return False
+    return is_proper_interval(apply_fill(g, res.fill)).is_pig
+
+
 # ---------------------------------------------------------------------------
 # threshold
 
@@ -100,13 +109,7 @@ def xcheck_threshold(
             res = threshold_pig_completion(g, seq)
             pig_cost, _ = brute_min_pig(g, budget)
             optimality.count(res.cost == pig_cost, f"n={n} tags={seq.tags()} {res.cost}!={pig_cost}")
-            ok = True
-            try:
-                validate_completion(g, res)
-            except ValueError:
-                ok = False
-            ok = ok and is_proper_interval(apply_fill(g, res.fill)).is_pig
-            validity.count(ok, f"n={n} tags={seq.tags()}")
+            validity.count(_valid_pig_completion(g, res), f"n={n} tags={seq.tags()}")
             if n == 1 or seq.steps[-1][1] == DOMINATING:
                 cobip_cost, _ = brute_min_cobipartite(g)
                 equivalence.count(pig_cost == cobip_cost, f"n={n} tags={seq.tags()}")
@@ -157,8 +160,8 @@ def xcheck_quasithreshold(
                 raise AssertionError("build_dp_tables(keep_cells=True) kept no cells")
             symmetry.count(all(row == row[::-1] for row in tables.cells.values()), f"n={n}")
             cert = res.certificate
-            rec_tables = build_dp_tables(quasi_threshold_forest(g))
-            j_star = rec_tables.root_row.index(min(rec_tables.root_row))
+            # root_row[j] is the optimum with j vertices on side 1, whatever forest realizes g
+            j_star = tables.root_row.index(min(tables.root_row))
             certificate.count(
                 len(cert.s1) == j_star
                 and len(cert.s2) == g.n - j_star
@@ -220,13 +223,7 @@ def xcheck_caterpillar(
         if key not in memo:
             memo[key] = brute_min_pig(g, budget)[0]
         exactness.count(res.cost == memo[key], f"buckets={key} {res.cost}!={memo[key]}")
-        ok = len(res.fill) == res.cost and all(not g.has_edge(u, v) for u, v in res.fill)
-        ok = ok and is_proper_interval(apply_fill(g, res.fill)).is_pig
-        try:
-            validate_completion(g, res)
-        except ValueError:
-            ok = False
-        validity.count(ok, f"buckets={key}")
+        validity.count(_valid_pig_completion(g, res), f"buckets={key}")
         reversal.count(
             build_placement_tables(d).answer == build_placement_tables(d.reversed()).answer,
             f"buckets={key}",

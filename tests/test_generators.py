@@ -76,6 +76,13 @@ class TestQuasiThresholdGen:
         assert [len(c) for c in connected_components(g)] == [2, 2] and g.m == 2
 
 
+def _has_ancestor(forest, w, v):
+    """v is w or one of its ancestors."""
+    while w is not None and w != v:
+        w = forest.parent[w]
+    return w == v
+
+
 class TestRootedForestEnumeration:
     def test_counts(self):
         # rooted forests on n vertices == rooted trees on n+1 vertices
@@ -88,6 +95,22 @@ class TestRootedForestEnumeration:
         for forest in enumerate_rooted_forests(4):
             seen.add(tuple(forest.parent))
         assert len(seen) == 9
+
+    def test_counts_classes_and_preorder_labels_to_10(self):
+        # rooted trees on n + 1 vertices (OEIS A000081)
+        expected = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842]
+        for n, count in enumerate(expected):
+            forms = []
+            for forest in enumerate_rooted_forests(n):
+                def form(v):
+                    return "(" + "".join(sorted(form(c) for c in forest.children[v])) + ")"
+
+                forms.append("".join(sorted(form(r) for r in forest.roots)))
+                for v, p in enumerate(forest.parent):
+                    assert p is None or p < v, (n, forest.parent)
+                    below = {w for w in range(n) if _has_ancestor(forest, w, v)}
+                    assert below == set(range(v, v + forest.subtree_size[v])), (n, forest.parent, v)
+            assert len(forms) == len(set(forms)) == count, n  # every class once, no two isomorphic
 
 
 class TestCaterpillarGen:

@@ -132,10 +132,6 @@ class TestBruteMinPig:
             brute_min_pig(g)
         assert brute_min_pig(g, OracleBudget(max_vertices=9))[0] == 0
 
-    def test_fill_cap_refusal(self, claw):
-        with pytest.raises(OracleBudgetError):
-            brute_min_pig(claw, OracleBudget(max_vertices=8, max_fill=0))
-
     def test_star_k8_two_cliques(self):
         cost, fill = brute_min_pig(_star(8), OracleBudget(max_vertices=9))
         assert cost == 12  # C(4,2) + C(4,2): leaves split into two cliques of four
@@ -207,6 +203,44 @@ def _cobipartite_by_direct_enumeration(g) -> int:
         cost = len(non_edges_within(g, a)) + len(non_edges_within(g, b))
         best = cost if best is None else min(best, cost)
     return 0 if best is None else best
+
+
+def _bipartitions_by_direct_enumeration(g):
+    """The co-bipartite and max-cut answers as (score, parts), over every part A
+    holding vertex 0.
+
+    Edges inside each vertex set S come from a table, e(S) = e(S - v) + |N(v) & S|
+    for the lowest v in S.  The documented tie rule keeps the least A as a sorted
+    list padded with an infinite entry, so {0, 1, 2} < {0, 1} < {0, 2}.
+    """
+    n = g.n
+    inside = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        inside[s] = inside[s ^ low] + (g.masks[low.bit_length() - 1] & s).bit_count()
+    full = (1 << n) - 1
+    best = [None, None]  # per objective: ((score to minimize, padded A), answer)
+    for a_mask in range(1 if n else 0, 1 << n, 2):
+        b_mask = full ^ a_mask
+        k = a_mask.bit_count()
+        pairs = k * (k - 1) // 2 + (n - k) * (n - k - 1) // 2
+        kept = inside[a_mask] + inside[b_mask]
+        for i, score in enumerate((pairs - kept, kept - g.m)):
+            if best[i] is None or score <= best[i][0][0]:
+                a = tuple(v for v in range(n) if a_mask >> v & 1)
+                key = (score, a + (n,))
+                if best[i] is None or key < best[i][0]:
+                    best[i] = key, (abs(score), (a, tuple(v for v in range(n) if b_mask >> v & 1)))
+    return best[0][1], best[1][1]
+
+
+class TestBipartitionOraclesMatchDirectEnumeration:
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_graph(self, n):
+        for g in _sweep_graphs(n):
+            cobipartite, cut = _bipartitions_by_direct_enumeration(g)
+            assert brute_min_cobipartite(g) == cobipartite, g
+            assert brute_max_cut(g) == cut, g
 
 
 class TestBruteMaxCut:
