@@ -99,9 +99,10 @@ def _dumps(obj, depth: int = 0) -> str:
     """Exactly ``json.dumps(obj, indent=2)``, without the pure-Python encoder.
 
     ``indent`` makes ``json.dumps`` walk each element in Python.  Here a list
-    of scalars, or a list of non-empty rows of scalars, is encoded by the C
-    encoder once and indented with ``str.replace``; any other list recurses
-    per element.
+    of ``(int, int)`` tuples is formatted pair by pair and joined once; a
+    list of scalars, or a list of non-empty rows of scalars, is encoded by
+    the C encoder once and indented with ``str.replace``; any other list
+    recurses per element.
     """
     if not isinstance(obj, (dict, list, tuple)):
         return _compact(obj)
@@ -116,6 +117,16 @@ def _dumps(obj, depth: int = 0) -> str:
             for k, v in obj.items()
         )
         return "{" + i1 + ("," + i1).join(items) + i0 + "}"
+    if (
+        type(obj[0]) is tuple
+        and set(map(type, obj)) == {tuple}
+        and set(map(len, obj)) == {2}
+        and set(map(type, chain.from_iterable(obj))) == {int}
+    ):
+        # (int, int) pairs, such as fill_edges: one %d format per pair, one join
+        i2 = i1 + "  "
+        body = (i1 + "]," + i1 + "[" + i2).join(map(("%d," + i2 + "%d").__mod__, obj))
+        return "[" + i1 + "[" + i2 + body + i1 + "]" + i0 + "]"
     text = _compact(obj)
     # the replaces need every ',' to separate list items: no dict, and no
     # string that holds a comma or an escape (which would hide its end quote)
@@ -355,14 +366,13 @@ def _cmd_verify(args) -> int:
         if g.has_edge(u, v):
             problems.append(f"({u}, {v}) is already an edge")
     verdict = None
-    if not problems:
-        h = apply_fill(g, fill)
-        # a valid umbrella order certifies the accept in O(n + m); without
-        # one the recognizer decides, so a rejection still gets its witness
-        if order is None or not is_umbrella_order(h, order):
-            verdict = is_proper_interval(h)
-            if not verdict.is_pig:
-                problems.append(f"augmented graph is not proper interval ({verdict.witness_kind})")
+    # a valid umbrella order certifies the accept in O(n + m) without
+    # building G + F; without one the recognizer decides, so a rejection
+    # still gets its witness
+    if not problems and (order is None or not is_umbrella_order(g, order, fill)):
+        verdict = is_proper_interval(apply_fill(g, fill))
+        if not verdict.is_pig:
+            problems.append(f"augmented graph is not proper interval ({verdict.witness_kind})")
     accepted = not problems
     if args.json:
         out = {

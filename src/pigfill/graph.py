@@ -47,7 +47,7 @@ class Graph:
     ``neighbors[v]`` is the sorted tuple of neighbors of ``v``.  Adjacency is
     symmetric and loop-free by construction.  ``masks`` is derived from
     ``neighbors`` and not a field, so equality and hashing ignore whether it
-    has been built; so is the cached edge count ``m``.
+    has been built; so are the cached edge count ``m`` and edge-list ``text``.
     """
 
     n: int
@@ -62,6 +62,15 @@ class Graph:
     def m(self) -> int:
         """Edge count; computed on first read and cached, like ``masks``."""
         return sum(map(len, self.neighbors)) // 2
+
+    @cached_property
+    def text(self) -> str:
+        """The native edge-list text: n, then one ``u v`` line per edge, ascending.
+
+        Cached like ``masks``.  A graph read from text already in this form
+        keeps that text, so writing or hashing it costs no serialization.
+        """
+        return f"{self.n}\n" + "".join(map("%d %d\n".__mod__, self.edges()))
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])

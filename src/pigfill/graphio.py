@@ -7,14 +7,27 @@ count, then one ``u v`` line per edge (0-indexed).  DIMACS-like input
 above ``MAX_VERTICES`` is refused with ``GraphInputError`` before anything
 is allocated for it.  Serialization always emits the edge-list format with
 edges sorted, so parse(serialize(g)) == g.
+
+Text already in that serialized form (canonical ints, ``u < v`` pairs in
+ascending order, one space and one "\\n" per edge line) is read in bulk by
+passes in C, and the graph keeps it: serializing or hashing the graph then
+reuses the text read.  Any other text, and every malformed one, goes
+through the line parser, which alone words the errors.
 """
 
 from __future__ import annotations
 
+import json
+from collections import deque
+from itertools import islice
+from operator import lt
+
 from .errors import GraphInputError
 from .graph import Graph, build_graph
 
-MAX_VERTICES = 10**6  # parsing allocates one set per vertex; 50x the largest perfbench input
+MAX_VERTICES = 10**6  # parsing allocates one set or list per vertex; 50x the largest perfbench input
+
+_COMMAS = bytes.maketrans(b" \n", b",,")
 
 
 def _check_vertex_count(n: int) -> None:
@@ -23,6 +36,9 @@ def _check_vertex_count(n: int) -> None:
 
 
 def parse_graph(text: str) -> Graph:
+    g = _parse_serialized(text)
+    if g is not None:
+        return g
     lines = [ln.strip() for ln in text.splitlines()]
     data = [ln for ln in lines if ln and not ln.startswith("#")]
     if not data:
@@ -31,6 +47,51 @@ def parse_graph(text: str) -> Graph:
     if probe is not None and (probe.startswith("p ") or probe.startswith("p\t")):
         return _parse_dimacs(data)
     return _parse_edge_list(data)
+
+
+def _parse_serialized(text: str) -> Graph | None:
+    """The graph of a text that ``serialize_graph`` could have written, else None.
+
+    Such a text is the vertex count and then one ``u v`` line per edge, every
+    int in canonical decimal, one space inside each edge line, "\\n" ending
+    every line, and the pairs strictly ascending with u < v < n.  Each check
+    is a pass in C: the characters between the ints must be exactly that
+    run of newlines and spaces, and the C JSON decoder reads all ints at once
+    with the separators made commas, refusing empty ints and leading zeros.
+    The pairs arrive sorted, so appending to each vertex first its smaller
+    and then its larger neighbours leaves every row ascending.  The graph
+    keeps the text as its cached ``text``.  Any other text gets None and goes
+    to the line parser, which alone words the errors.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode()
+    seps = data.translate(None, b"0123456789")
+    pairs = len(seps) // 2
+    if seps != b"\n" + b" \n" * pairs:
+        return None
+    try:
+        ints = json.loads(b"[" + data.translate(_COMMAS)[:-1] + b"]")
+    except ValueError:
+        return None
+    if len(ints) != len(seps):  # "\n" alone reads as no int at all
+        return None
+    n = ints[0]
+    us, vs = ints[1::2], ints[2::2]
+    del ints
+    if n > MAX_VERTICES or vs and not (
+        max(vs) < n
+        and all(map(lt, us, vs))
+        and all(map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None))))
+    ):
+        return None
+    rows: list[list[int]] = [[] for _ in range(n)]
+    deque(map(list.append, map(rows.__getitem__, vs), us), maxlen=0)  # smaller neighbours, ascending
+    deque(map(list.append, map(rows.__getitem__, us), vs), maxlen=0)  # then the larger ones
+    g = Graph(n, tuple(map(tuple, rows)))
+    g.__dict__["text"] = text
+    g.__dict__["m"] = pairs
+    return g
 
 
 def _parse_edge_list(data: list[str]) -> Graph:
@@ -92,9 +153,7 @@ def _parse_dimacs(data: list[str]) -> Graph:
 
 
 def serialize_graph(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return g.text
 
 
 def load_graph(path: str) -> Graph:

@@ -10,9 +10,11 @@ test by the previous sweep's order), so certificates are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 from .errors import GraphInputError
-from .graph import Graph, build_graph
+from .graph import Edge, Graph, build_graph
 
 ISOLATED = "i"
 DOMINATING = "d"
@@ -291,14 +293,21 @@ def _three_sweep_order(g: Graph) -> tuple[int, ...] | None:
     return tuple(sigma)
 
 
-def is_umbrella_order(g: Graph, order) -> bool:
-    """True iff ``order`` is an umbrella order of g.
+def is_umbrella_order(g: Graph, order, fill: Sequence[Edge] = ()) -> bool:
+    """True iff ``order`` is an umbrella order of g plus the ``fill`` pairs.
 
     That is a permutation of the vertices in which every closed neighbourhood
-    is consecutive.  O(n + m) on the neighbour tuples: positions are
-    distinct, so a closed neighbourhood is consecutive iff its smallest and
-    largest positions span exactly its size.  Only proper interval graphs
-    have such an order (Roberts 1971), so a True answer certifies membership.
+    is consecutive.  Only proper interval graphs have such an order (Roberts
+    1971), so a True answer certifies membership.  The fill must name each
+    pair once, within range and with no loop, and no edge of g; the callers
+    check that first.
+
+    Decided by a reach count in O(n + m + |fill|), without building g plus
+    the fill.  Let R(i) be the largest position among positions <= i and
+    their neighbours.  The pairs i < k <= R(i) hold every edge, and they are
+    exactly the edges of a graph with this umbrella order, which is the
+    least one.  So ``order`` is an umbrella order iff there are no more such
+    pairs than edges: the sum of R(i) - i equals m + |fill|.
     """
     n = g.n
     if len(order) != n or set(order) != set(range(n)):
@@ -307,13 +316,17 @@ def is_umbrella_order(g: Graph, order) -> bool:
     for i, v in enumerate(order):
         pos[v] = i
     at = pos.__getitem__
-    for v, nb in enumerate(g.neighbors):
-        if nb:
-            spots = list(map(at, nb))
-            spots.append(pos[v])
-            if max(spots) - min(spots) != len(nb):
-                return False
-    return True
+    # reach[i]: the largest position of a neighbour of order[i] in g or the fill
+    # (max's default= keyword costs more than the whole row on small graphs)
+    reach = [max(map(at, nb)) if nb else -1 for nb in map(g.neighbors.__getitem__, order)]
+    for u, v in fill:
+        a, b = pos[u], pos[v]
+        if a > b:
+            a, b = b, a
+        if reach[a] < b:
+            reach[a] = b
+    # R(i) is the running maximum of reach, and at least i
+    return sum(map(max, accumulate(reach, max), range(n))) - n * (n - 1) // 2 == g.m + len(fill)
 
 
 def is_proper_interval(g: Graph) -> PigVerdict:

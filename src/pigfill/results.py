@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, apply_fill, clique_pair_fill, strictly_ascending
+from .graph import Edge, Graph, clique_pair_fill, strictly_ascending
 from .recognition import is_umbrella_order
 
 
@@ -86,5 +86,5 @@ def validate_completion(g: Graph, result: CompletionResult) -> None:
 
         if materialize_fill_edges(g, cert) != fill:
             raise ValueError("fill does not match the point placement")
-    if result.order is not None and not is_umbrella_order(apply_fill(g, fill), result.order):
+    if result.order is not None and not is_umbrella_order(g, result.order, fill):
         raise ValueError("order is not an umbrella order of the graph plus the fill")

@@ -482,6 +482,21 @@ _json_values = st.recursive(
     max_leaves=20,
 )
 
+# rows that are mostly (int, int) tuples, with the cases the pair writer must hand back
+_pair_ints = st.one_of(st.integers(-5, 50), st.integers(-(10**30), 10**30), st.booleans())
+_pair_rows = st.one_of(
+    st.tuples(_pair_ints, _pair_ints),
+    st.lists(_pair_ints, min_size=2, max_size=2),
+    st.lists(_pair_ints, max_size=3).map(tuple),
+    st.tuples(st.integers(0, 9), st.sampled_from([1.5, "x", None])),
+)
+_int_pairs = st.tuples(st.integers(-(10**30), 10**30), st.integers(-5, 50))
+_pair_lists = st.one_of(
+    st.lists(_int_pairs, min_size=1, max_size=8),  # the pair writer's own input
+    st.lists(_pair_rows, max_size=6),
+    st.lists(_pair_rows, max_size=6).map(tuple),
+)
+
 _GEN = {
     "threshold": ["--n", "12"],
     "caterpillar": ["--spine-len", "6", "--max-leaves", "3"],
@@ -509,6 +524,20 @@ class TestJsonWriter:
     @example([[], [1]])
     @example([{"a": 1, "b": [2]}, 3])
     def test_matches_json_dumps_indent_2(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pair_lists, st.integers(min_value=0, max_value=3))
+    @example([(1, 2)], 0)  # one pair
+    @example([], 0)
+    @example([(True, 2)], 0)  # bool is an int subclass that json writes as true
+    @example([(1, 2), [3, 4]], 0)  # a list row among tuples
+    @example([(1, 2), (3, 4, 5)], 1)  # a ragged row
+    @example(((-(10**30), 7),), 2)
+    def test_pair_rows_match_json_dumps_indent_2(self, rows, depth):
+        value = rows
+        for _ in range(depth):
+            value = {"k": value}
         assert _dumps(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,8 @@ from pigfill import (
     parse_graph,
     serialize_graph,
 )
+from pigfill import graphio
+from pigfill.cli import _digest
 from pigfill.graphio import MAX_VERTICES
 
 
@@ -316,3 +320,109 @@ class TestSerialization:
         path = tmp_path / "g.txt"
         save_graph(claw, str(path))
         assert load_graph(str(path)) == claw
+
+
+def _line_parse(text):
+    """parse_graph with the bulk reader switched off: the line parser alone."""
+    with mock.patch.object(graphio, "_parse_serialized", return_value=None):
+        return parse_graph(text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphInputError as exc:
+        return f"GraphInputError: {exc}"
+
+
+def _random_graph(rng, n):
+    p = rng.random()
+    return build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def _dimacs(g):
+    return f"p edge {g.n} {g.m}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in g.edges())
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _variants(g, rng):
+    """Texts of g, or near it, that ``serialize_graph`` would not write."""
+    text = serialize_graph(g)
+    head, *lines = text.split("\n")[:-1]
+    u, v = map(int, lines[0].split())
+    return {
+        "comment": "# a comment\n" + text,
+        "blank line": text.replace("\n", "\n\n", 1),
+        "crlf": text.replace("\n", "\r\n"),
+        "tab": text.replace(" ", "\t"),
+        "double space": text.replace(" ", "  "),
+        "trailing space": text.replace("\n", " \n"),
+        "no final newline": text[:-1],
+        "zero-padded head": "0" + text,
+        "zero-padded end": text.replace(f"\n{u} {v}\n", f"\n{u} 0{v}\n", 1),
+        "zero-padded start": text.replace(f"\n{u} {v}\n", f"\n0{u} {v}\n", 1),
+        "plus sign": text.replace(f"\n{u} {v}\n", f"\n+{u} {v}\n", 1),
+        "underscore": f"{head[0]}_{head[1:]}" + text[len(head) :],  # n >= 10
+        "non-ascii digit": text.replace(f"\n{u} {v}\n", f"\n{str(u).translate(_ARABIC_INDIC)} {v}\n", 1),
+        "unsorted": "\n".join([head] + rng.sample(lines, len(lines))) + "\n",
+        "repeated pair": "\n".join([head, lines[0]] + lines) + "\n",
+        "reversed pair": text.replace(f"\n{u} {v}\n", f"\n{v} {u}\n", 1),
+        "self-loop": text + f"{u} {u}\n",
+        "out of range": text + f"{u} {g.n}\n",
+        "above MAX_VERTICES": f"{MAX_VERTICES + 1}\n" + text.split("\n", 1)[1],
+        "dimacs": _dimacs(g),
+    }
+
+
+class TestCanonicalReader:
+    """The bulk reader of ``serialize_graph``'s form against the line parser."""
+
+    def test_serialized_text_parses_as_the_line_parser_does(self):
+        rng = random.Random(15)
+        texts = ["0\n", "1\n"] + [serialize_graph(_random_graph(rng, rng.randrange(61))) for _ in range(300)]
+        for text in texts:
+            g = graphio._parse_serialized(text)
+            assert g is not None, text
+            assert g == _line_parse(text) and g.m == _line_parse(text).m
+            assert all(list(row) == sorted(row) for row in g.neighbors)
+            assert serialize_graph(g) is text  # the text read is kept, not rebuilt
+
+    def test_variants_parse_or_fail_as_the_line_parser_does(self):
+        rng = random.Random(16)
+        graphs = [_random_graph(rng, n) for n in (10, 12, 23, 40, 60)]
+        graphs.append(build_graph(12, [(1, 11), (2, 3), (5, 10)]))
+        seen = set()
+        for g in graphs:
+            if g.m < 2:
+                continue
+            for name, text in _variants(g, rng).items():
+                assert graphio._parse_serialized(text) is None, name
+                assert _outcome(parse_graph, text) == _outcome(_line_parse, text), name
+                seen.add(name)
+        assert len(seen) == 20
+
+    @settings(max_examples=300)
+    @given(_graph_texts())
+    def test_fuzzed_text_parses_or_fails_as_the_line_parser_does(self, text):
+        assert _outcome(parse_graph, text) == _outcome(_line_parse, text)
+
+    def test_error_messages_unchanged(self):
+        g = build_graph(12, [(1, 11), (2, 3), (5, 10)])
+        messages = {name: _outcome(parse_graph, text) for name, text in _variants(g, random.Random(0)).items()}
+        assert messages["self-loop"] == "GraphInputError: self-loop at vertex 1"
+        assert messages["out of range"] == "GraphInputError: edge (1, 12) out of range for n=12"
+        assert messages["above MAX_VERTICES"] == f"GraphInputError: vertex count {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES}"
+        assert messages["plus sign"] == g  # int() reads '+1', as it always has
+
+    def test_digest_of_a_non_canonical_text_hashes_a_fresh_serialization(self):
+        rng = random.Random(17)
+        for n in (10, 25, 60):
+            g = _random_graph(rng, n)
+            fresh = build_graph(g.n, g.edges())
+            expected = "sha256:" + hashlib.sha256(serialize_graph(fresh).encode()).hexdigest()
+            for name in ("comment", "crlf", "unsorted", "repeated pair", "reversed pair", "dimacs"):
+                h = parse_graph(_variants(g, rng)[name])
+                assert _digest(h) == expected, name
+            assert _digest(parse_graph(serialize_graph(fresh))) == expected

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import replace
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -31,7 +31,8 @@ from pigfill import (
     threshold_pig_completion,
     validate_completion,
 )
-from pigfill import recognition
+from pigfill import cli, recognition
+from pigfill import graph as graph_module
 from pigfill.cli import main
 from pigfill.xcheck import _all_graphs, _compositions
 from test_recognition import _relabelled, assert_umbrella_order
@@ -41,6 +42,14 @@ def _check(g, result):
     assert result.order is not None
     assert_umbrella_order(apply_fill(g, result.fill), result.order)
     validate_completion(g, result)
+
+
+def _has_edge_umbrella(g, order):
+    try:
+        assert_umbrella_order(g, order)
+    except AssertionError:
+        return False
+    return True
 
 
 def _caterpillar_bucket_sequences(max_n=8):
@@ -135,16 +144,46 @@ class TestIsUmbrellaOrder:
         for n in range(5):
             for g in _all_graphs(n):
                 for order in permutations(range(n)):
-                    try:
-                        assert_umbrella_order(g, order)
-                        expected = True
-                    except AssertionError:
-                        expected = False
-                    assert is_umbrella_order(g, order) == expected, (g, order)
+                    assert is_umbrella_order(g, order) == _has_edge_umbrella(g, order), (g, order)
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (0, 1, 2, 2), (0, 1, 2, 4), (), (3, 2, 1, 0, 4)])
     def test_non_permutations_are_not_umbrella_orders(self, k4, order):
         assert not is_umbrella_order(k4, order)
+
+    def test_reach_count_matches_the_filled_graph_on_every_split_to_4(self):
+        # each pair of K_n is absent, an edge of G or a fill pair: 3^(n choose 2) splits
+        for n in range(5):
+            pairs = list(combinations(range(n), 2))
+            orders = list(permutations(range(n)))
+            for split in product(range(3), repeat=len(pairs)):
+                g = build_graph(n, [p for p, s in zip(pairs, split) if s == 1])
+                fill = [p for p, s in zip(pairs, split) if s == 2]
+                h = apply_fill(g, fill)
+                for order in orders:
+                    assert is_umbrella_order(g, order, fill) == _has_edge_umbrella(h, order), (g, fill, order)
+
+    def test_reach_count_matches_the_filled_graph_seeded_5_to_9(self):
+        rng = random.Random(15)
+        for trial in range(600):
+            n = 5 + trial % 5
+            pairs = list(combinations(range(n), 2))
+            split = [rng.choice((0, 1, 1, 2)) for _ in pairs]
+            g = build_graph(n, [p for p, s in zip(pairs, split) if s == 1])
+            fill = [p for p, s in zip(pairs, split) if s == 2]
+            rng.shuffle(fill)  # the order of the fill pairs does not matter
+            h = apply_fill(g, fill)
+            orders = [tuple(rng.sample(range(n), n)) for _ in range(3)]
+            verdict = recognition.is_proper_interval(h)
+            if verdict.is_pig:
+                # the recognizer's umbrella order, and the same with two neighbours swapped
+                i = rng.randrange(n - 1)
+                swapped = list(verdict.order)
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+                orders += [verdict.order, tuple(swapped)]
+            for order in orders:
+                expected = _has_edge_umbrella(h, order)
+                assert is_umbrella_order(h, order) == expected
+                assert is_umbrella_order(g, order, fill) == expected, (g, fill, order)
 
     def test_validate_completion_rejects_a_bad_order(self, star5):
         res = threshold_pig_completion(star5)
@@ -284,3 +323,78 @@ class TestVerifyWithOrder:
         fill.write_text(json.dumps({"fill_edges": [[1, 2]], "umbrella_order": order}))
         assert main(["verify", claw, "--fill", str(fill)]) == 2
         assert "umbrella_order" in capsys.readouterr().err
+
+
+def _refuse_apply_fill(*args):
+    raise RuntimeError("apply_fill ran on an accept path")
+
+
+class TestReachCountAcceptPaths:
+    """The accept paths decide by the reach count and never build G + F."""
+
+    @pytest.fixture
+    def no_apply_fill(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "apply_fill", _refuse_apply_fill)
+        monkeypatch.setattr(cli, "apply_fill", _refuse_apply_fill)
+
+    def test_verify_accepts_envelopes_without_apply_fill(self, capsys, envelopes, no_apply_fill):
+        for graph, env_path, env in envelopes:
+            assert main(["verify", graph, "--fill", str(env_path)]) == 0, env["algorithm"]
+            assert capsys.readouterr().out.strip() == "accepted"
+        assert [env["algorithm"] for _, _, env in envelopes] == ["threshold", "caterpillar", "oracle"]
+
+    def test_validate_completion_without_apply_fill(self, no_apply_fill):
+        for seed in range(20):
+            g, _ = gen_threshold(10 + seed, 0.5, seed)
+            validate_completion(g, threshold_pig_completion(g))
+            g, _ = gen_caterpillar(5 + seed, 2, seed)
+            validate_completion(g, caterpillar_pig_completion(g))
+
+    @pytest.mark.parametrize(
+        "edges, fill",
+        [
+            ([(i, (i + 1) % 5) for i in range(5)], []),  # C5: a chordless cycle
+            ([(0, 1), (0, 2), (0, 3)], []),  # a claw
+            ([(0, 1), (0, 2), (0, 3), (0, 4)], [[1, 2]]),  # K1,4 keeps a claw after the fill
+            ([(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)], []),  # a net
+        ],
+        ids=["c5", "claw", "filled-claw", "net"],
+    )
+    def test_rejections_reach_the_recognizer_with_the_same_witness(self, capsys, monkeypatch, tmp_path, edges, fill):
+        g = build_graph(max(max(e) for e in edges) + 1, edges)
+        path = _write(tmp_path, "g.txt", g)
+        expected = recognition.is_proper_interval(apply_fill(g, [tuple(p) for p in fill]))
+        assert not expected.is_pig
+        calls = []
+        real = cli.is_proper_interval
+        monkeypatch.setattr(cli, "is_proper_interval", lambda h: calls.append(h) or real(h))
+        outs = []
+        for content in (fill, {"fill_edges": fill, "umbrella_order": list(range(g.n))}):
+            fill_path = tmp_path / "fill.json"
+            fill_path.write_text(json.dumps(content))
+            assert main(["verify", path, "--fill", str(fill_path), "--json"]) == 1
+            outs.append(capsys.readouterr().out)
+        assert len(calls) == 2 and outs[0] == outs[1]
+        out = json.loads(outs[0])
+        assert out["problems"] == [f"augmented graph is not proper interval ({expected.witness_kind})"]
+        assert out["witness"] == list(expected.witness)
+
+    @pytest.mark.parametrize(
+        "fill, problem",
+        [
+            ([[1, 2], [2, 1]], "(1, 2) is listed 2 times"),
+            ([[1, 2], [0, 1]], "(0, 1) is already an edge"),
+        ],
+    )
+    def test_fill_problems_keep_their_text_with_an_order(self, capsys, monkeypatch, tmp_path, fill, problem):
+        path = _write(tmp_path, "claw.txt", build_graph(4, [(0, 1), (0, 2), (0, 3)]))
+
+        def refuse(*args):
+            raise RuntimeError("the umbrella test ran on a fill with problems")
+
+        monkeypatch.setattr(cli, "is_umbrella_order", refuse)
+        fill_path = tmp_path / "fill.json"
+        fill_path.write_text(json.dumps({"fill_edges": fill, "umbrella_order": [3, 0, 1, 2]}))
+        code = main(["verify", path, "--fill", str(fill_path), "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1 and out["problems"] == [problem] and out["witness"] is None
