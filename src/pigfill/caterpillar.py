@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import comb
+from operator import itemgetter
 
 from .errors import ClassMembershipError, GraphInputError
-from .graph import Edge, Graph, edge
+from .graph import Edge, Graph
 from .recognition import CaterpillarDecomposition, caterpillar_decomposition
 from .results import CompletionResult, PointPlacement
 
@@ -100,33 +101,56 @@ def materialize_fill_edges(g: Graph, p: PointPlacement) -> tuple[Edge, ...]:
     spine vertices whose interval covers t (indices t-1 and t when they
     exist).  Nothing else is added.  Each leaf is placed once, so no pair is
     produced twice.
+
+    The placement is checked in bulk (set and min/max passes) and re-read
+    entry by entry only when it is bad, so the first bad entry names the
+    error.  One pass over the leaves then pairs each leaf with the leaves
+    placed on its point before it and with its one or two spine vertices; a
+    leaf's neighbour tuple has one entry, so each membership test is O(1).
     """
-    k = len(p.spine) - 1
-    on_spine = set(p.spine)
-    groups: list[list[int]] = [[] for _ in range(k + 2)]
-    for leaf, point in p.points:
-        if leaf in on_spine:
-            raise GraphInputError(f"vertex {leaf} is on the spine and cannot be a placed leaf")
-        if not 0 <= point <= k + 1:
-            raise GraphInputError(f"point {point} outside 0..{k + 1}")
-        groups[point].append(leaf)
-    if len({leaf for leaf, _ in p.points}) != len(p.points):
+    spine = p.spine
+    k = len(spine) - 1
+    points = p.points
+    placed = set(map(itemgetter(0), points))
+    where = list(map(itemgetter(1), points))
+    if not placed.isdisjoint(spine) or (where and not (0 <= min(where) and max(where) <= k + 1)):
+        _reject_placement(spine, points)
+    if len(placed) != len(points):
         raise GraphInputError("a leaf is placed more than once")
-    nb = g.neighbors  # a leaf's tuple has one entry, so each membership test is O(1)
+    nb = g.neighbors
+    on_point: list[list[int] | None] = [None] * (k + 2)
     fill: list[Edge] = []
-    for point, group in enumerate(groups):
-        for a_idx, a in enumerate(group):
-            for b in group[a_idx + 1 :]:
-                if b not in nb[a]:
-                    fill.append(edge(a, b))
-        for idx in (point - 1, point):
-            if 0 <= idx <= k:
-                sv = p.spine[idx]
-                for a in group:
-                    if sv not in nb[a]:
-                        fill.append(edge(a, sv))
+    for a, t in points:
+        row = nb[a]
+        earlier = on_point[t]
+        if earlier is None:
+            on_point[t] = [a]
+        else:
+            for b in earlier:
+                if b not in row:
+                    fill.append((a, b) if a < b else (b, a))
+            earlier.append(a)
+        if t:
+            sv = spine[t - 1]
+            if sv not in row:
+                fill.append((a, sv) if a < sv else (sv, a))
+        if t <= k:
+            sv = spine[t]
+            if sv not in row:
+                fill.append((a, sv) if a < sv else (sv, a))
     fill.sort()
     return tuple(fill)
+
+
+def _reject_placement(spine: tuple[int, ...], points: tuple[tuple[int, int], ...]) -> None:
+    """Raise the error of the first entry that places a spine vertex or leaves points 0..k+1."""
+    on_spine = set(spine)
+    for leaf, point in points:
+        if leaf in on_spine:
+            raise GraphInputError(f"vertex {leaf} is on the spine and cannot be a placed leaf")
+        if not 0 <= point <= len(spine):
+            raise GraphInputError(f"point {point} outside 0..{len(spine)}")
+    raise AssertionError("a placement was rejected without a bad entry")
 
 
 def _placement_order(p: PointPlacement) -> tuple[int, ...]:

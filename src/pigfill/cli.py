@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 
 from .caterpillar import caterpillar_pig_completion
 from .errors import ClassMembershipError, GraphInputError, OracleBudgetError
@@ -93,16 +93,19 @@ def _digest(g: Graph) -> str:
 
 
 _compact = json.JSONEncoder(separators=(",", ":")).encode
+_INT_CHARS = str.maketrans("", "", "-0123456789")
 
 
 def _dumps(obj, depth: int = 0) -> str:
     """Exactly ``json.dumps(obj, indent=2)``, without the pure-Python encoder.
 
     ``indent`` makes ``json.dumps`` walk each element in Python.  Here a list
-    of ``(int, int)`` tuples is formatted pair by pair and joined once; a
-    list of scalars, or a list of non-empty rows of scalars, is encoded by
-    the C encoder once and indented with ``str.replace``; any other list
-    recurses per element.
+    of ``(int, int)`` tuples is formatted pair by pair with ``%r`` and joined
+    once; it is kept when deleting every digit and ``-`` leaves exactly the
+    separators, which a bool, float, string or nested tuple would not, and a
+    row of another length fails the format.  A list of scalars, or a list of
+    non-empty rows of scalars, is encoded by the C encoder once and indented
+    with ``str.replace``; any other list recurses per element.
     """
     if not isinstance(obj, (dict, list, tuple)):
         return _compact(obj)
@@ -117,16 +120,18 @@ def _dumps(obj, depth: int = 0) -> str:
             for k, v in obj.items()
         )
         return "{" + i1 + ("," + i1).join(items) + i0 + "}"
-    if (
-        type(obj[0]) is tuple
-        and set(map(type, obj)) == {tuple}
-        and set(map(len, obj)) == {2}
-        and set(map(type, chain.from_iterable(obj))) == {int}
-    ):
-        # (int, int) pairs, such as fill_edges: one %d format per pair, one join
+    if type(obj[0]) is tuple:
+        # (int, int) pairs, such as fill_edges: one %r format per pair, one join;
+        # deleting the digits and signs must leave exactly the separators
         i2 = i1 + "  "
-        body = (i1 + "]," + i1 + "[" + i2).join(map(("%d," + i2 + "%d").__mod__, obj))
-        return "[" + i1 + "[" + i2 + body + i1 + "]" + i0 + "]"
+        sep = i1 + "]," + i1 + "[" + i2
+        try:
+            body = sep.join(map(("%r," + i2 + "%r").__mod__, obj))
+        except TypeError:
+            pass
+        else:
+            if body.translate(_INT_CHARS) == sep.join(repeat("," + i2, len(obj))):
+                return "[" + i1 + "[" + i2 + body + i1 + "]" + i0 + "]"
     text = _compact(obj)
     # the replaces need every ',' to separate list items: no dict, and no
     # string that holds a comma or an escape (which would hide its end quote)

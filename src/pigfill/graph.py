@@ -16,7 +16,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse, islice, repeat
+from itertools import chain, filterfalse, islice, repeat
 from operator import lt
 from typing import Iterable, Iterator
 
@@ -201,14 +201,26 @@ def non_edges_within(g: Graph, s: Iterable[int]) -> tuple[Edge, ...]:
 def clique_pair_fill(g: Graph, s1: Iterable[int], s2: Iterable[int]) -> tuple[Edge, ...]:
     """The pairs that make s1 and s2 cliques: non-edges inside each, ascending.
 
-    Each side's pairs are one ascending run, which timsort merges in linear
-    time.  Raises AssertionError when the runs share a pair, so that a cost
-    check against the fill's length cannot count a pair twice.
+    When the sides are disjoint, each vertex u of either side is followed by
+    its later non-neighbours on its own side, and the rows are read in
+    ascending u, so the pairs come out ascending with no repeat and no sort.
+    Sides that share a vertex have their two runs sorted together, and an
+    AssertionError is raised when the runs share a pair, so that a cost check
+    against the fill's length cannot count a pair twice.
     """
-    fill = tuple(sorted(non_edges_within(g, s1) + non_edges_within(g, s2)))
-    if not strictly_ascending(fill):
-        raise AssertionError("clique pair fill repeats a pair")
-    return fill
+    sides = sorted(set(s1)), sorted(set(s2))
+    if not set(sides[0]).isdisjoint(sides[1]):
+        fill = tuple(sorted(non_edges_within(g, sides[0]) + non_edges_within(g, sides[1])))
+        if not strictly_ascending(fill):
+            raise AssertionError("clique pair fill repeats a pair")
+        return fill
+    neighbors = g.neighbors
+    rows: list[tuple[Edge, ...]] = [()] * g.n
+    for keep in sides:
+        _check_subset(g, keep)
+        for i, u in enumerate(keep):
+            rows[u] = tuple(zip(repeat(u), filterfalse(set(neighbors[u]).__contains__, keep[i + 1 :])))
+    return tuple(chain.from_iterable(rows))
 
 
 def _check_subset(g: Graph, s: list[int]) -> None:

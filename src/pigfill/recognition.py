@@ -9,8 +9,10 @@ test by the previous sweep's order), so certificates are deterministic.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import itemgetter, sub
 from typing import Sequence
 
 from .errors import GraphInputError
@@ -439,18 +441,22 @@ def threshold_creation_sequence(g: Graph) -> CreationSequence | None:
     isolated one), smallest id first, and reverses the peel order.  A final
     lone vertex peels as isolated, so sequences start with an ``i`` tag.
 
-    Runs in O(n + m) on degree buckets.  A peeled dominating vertex was
-    adjacent to every remaining vertex and a peeled isolated one to none, so
-    a remaining vertex's current degree is its degree minus ``off``, the
-    number of dominating peels so far: the universal candidates are bucket
-    ``size - 1 + off`` and the isolated ones bucket ``off``.  Only the
-    smallest id of a bucket is ever peeled, so each bucket is an ascending
-    queue read through a head index.
+    Runs in O(n + m) on degree buckets.  The first peel needs a vertex of
+    degree 0 or n - 1, so a graph with neither (any caterpillar that is not
+    a star) is rejected after one scan of the degrees.  A peeled dominating
+    vertex was adjacent to every remaining vertex and a peeled isolated one
+    to none, so a remaining vertex's current degree is its degree minus
+    ``off``, the number of dominating peels so far: the universal candidates
+    are bucket ``size - 1 + off`` and the isolated ones bucket ``off``.  Only
+    the smallest id of a bucket is ever peeled, so each bucket is an
+    ascending queue read through a head index.
     """
     n = g.n
+    degree = list(map(len, g.neighbors))
+    if n and 0 not in degree and n - 1 not in degree:
+        return None
     buckets: list[list[int]] = [[] for _ in range(n)]
-    for v, nb in enumerate(g.neighbors):
-        buckets[len(nb)].append(v)
+    deque(map(list.append, map(buckets.__getitem__, degree), range(n)), 0)
     head = [0] * n
     off = 0
     peel: list[tuple[int, str]] = []
@@ -621,50 +627,45 @@ def caterpillar_decomposition(g: Graph) -> CaterpillarDecomposition | None:
     The graph must be a tree whose non-leaf vertices induce a path.  Degenerate
     cases: a single vertex or a star use that one internal vertex as the spine;
     an edge uses its smaller endpoint.  The spine starts at its smaller-id end.
-    Runs in O(n) on the neighbour tuples.
+
+    Runs in O(n) as bulk passes over the neighbour tuples, with no search for
+    connectivity.  Every cycle runs through inner (degree >= 2) vertices
+    only, so when the inner vertices induce one path the graph is a forest,
+    and with m = n - 1 edges a forest is one tree.  An inner vertex's degree
+    on the path is its degree minus its hanging leaves, and the path is
+    walked through ``link[v]``, the sum of v's path neighbours padded with -1
+    to two of them, so the vertex after ``prev`` is ``link[v] - prev``.
     """
     n = g.n
     neighbors = g.neighbors
     if n == 0 or g.m != n - 1:
         return None
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        for w in neighbors[stack.pop()]:
-            if not seen[w]:
-                seen[w] = 1
-                reached += 1
-                stack.append(w)
-    if reached != n:
+    if n <= 2:
+        return CaterpillarDecomposition((0,), ((),) if n == 1 else ((1,),))
+    degree = list(map(len, neighbors))
+    leaves = list(compress(range(n), map((1).__eq__, degree)))
+    parent = list(map(itemgetter(0), map(neighbors.__getitem__, leaves)))
+    hanging: list[list[int]] = [[] for _ in range(n)]
+    deque(map(list.append, map(hanging.__getitem__, parent), leaves), 0)
+    inner = list(compress(range(n), map((1).__lt__, degree)))
+    inner_hanging = list(map(hanging.__getitem__, inner))
+    path_degree = list(map(sub, map(degree.__getitem__, inner), map(len, inner_hanging)))
+    if max(path_degree) > 2:
         return None
-    if n == 1:
-        return CaterpillarDecomposition((0,), ((),))
-    if n == 2:
-        return CaterpillarDecomposition((0,), ((1,),))
-    inner = bytearray(len(nb) >= 2 for nb in neighbors)
-    spine_set = [v for v in range(n) if inner[v]]
-    ends = []
-    for v in spine_set:
-        sdeg = sum(inner[w] for w in neighbors[v])
-        if sdeg > 2:
-            return None
-        if sdeg <= 1:
-            ends.append(v)
-    if len(spine_set) == 1:
-        spine = [spine_set[0]]
-    else:
-        prev = -1
-        spine = [min(ends)]
-        while True:
-            nxt = next((w for w in neighbors[spine[-1]] if inner[w] and w != prev), None)
-            if nxt is None:
-                break
-            prev = spine[-1]
-            spine.append(nxt)
-    buckets = tuple(tuple(w for w in neighbors[v] if len(neighbors[w]) == 1) for v in spine)
-    return CaterpillarDecomposition(tuple(spine), buckets)
+    ends = list(compress(inner, map((2).__gt__, path_degree)))
+    if not ends:
+        return None  # the inner vertices form cycles
+    link = [0] * n
+    path_sums = map(sub, map(sum, map(neighbors.__getitem__, inner)), map(sum, inner_hanging))
+    deque(map(link.__setitem__, inner, map(sub, path_sums, map((2).__sub__, path_degree))), 0)
+    prev, v = -1, ends[0]
+    spine = []
+    while v >= 0:
+        spine.append(v)
+        prev, v = v, link[v] - prev
+    if len(spine) != len(inner):
+        return None
+    return CaterpillarDecomposition(tuple(spine), tuple(map(tuple, map(hanging.__getitem__, spine))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -183,6 +185,63 @@ class TestMaterialize:
     def test_rejects_out_of_range_point(self, claw):
         with pytest.raises(GraphInputError):
             materialize_fill_edges(claw, PointPlacement(spine=(0,), points=((1, 5),)))
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            # the first bad entry in points order names the error
+            (((0, 0), (3, 7), (1, 1)), "point 7 outside 0..2"),
+            (((0, 0), (1, 1), (3, 7)), "vertex 1 is on the spine and cannot be a placed leaf"),
+            (((0, -1), (2, 1)), "point -1 outside 0..2"),
+            (((0, 2), (3, 3)), "point 3 outside 0..2"),
+            # an entry that is both on the spine and out of range reports the spine
+            (((0, 0), (1, 9)), "vertex 1 is on the spine and cannot be a placed leaf"),
+            # a repeated leaf is reported only when every entry is otherwise valid
+            (((0, 0), (0, 1), (3, 7)), "point 7 outside 0..2"),
+            (((3, 0), (0, 0), (3, 2), (2, 0)), "vertex 2 is on the spine and cannot be a placed leaf"),
+            (((3, 0), (0, 0), (3, 2)), "a leaf is placed more than once"),
+        ],
+    )
+    def test_first_bad_entry_names_the_error(self, p4, points, message):
+        # p4 is the path 0-1-2-3; spine (1, 2) leaves points 0..2
+        with pytest.raises(GraphInputError) as info:
+            materialize_fill_edges(p4, PointPlacement(spine=(1, 2), points=points))
+        assert str(info.value) == message
+
+
+def _reference_fill(g, p):
+    """The point model's pairs, straight from its definition."""
+    k = len(p.spine) - 1
+    on_point = {}
+    for leaf, t in p.points:
+        on_point.setdefault(t, []).append(leaf)
+    want = set()
+    for t, group in on_point.items():
+        want.update(tuple(sorted(pair)) for pair in combinations(group, 2))
+        want.update(tuple(sorted((a, p.spine[i]))) for a in group for i in (t - 1, t) if 0 <= i <= k)
+    return tuple(sorted(e for e in want if not g.has_edge(*e)))
+
+
+class TestMaterializeMatchesDefinition:
+    def test_random_graphs_and_placements(self):
+        rng = random.Random(16)
+        for _ in range(1500):
+            n = rng.randrange(1, 13)
+            g = build_graph(n, [pair for pair in combinations(range(n), 2) if rng.random() < 0.3])
+            vertices = list(range(n))
+            rng.shuffle(vertices)
+            cut = rng.randrange(1, n + 1)
+            spine, rest = tuple(vertices[:cut]), vertices[cut:]
+            leaves = rng.sample(rest, rng.randrange(len(rest) + 1))
+            points = tuple((leaf, rng.randrange(len(spine) + 1)) for leaf in leaves)
+            placement = PointPlacement(spine, points)
+            assert materialize_fill_edges(g, placement) == _reference_fill(g, placement)
+
+    def test_generated_caterpillars(self):
+        for seed in range(40):
+            g, d = gen_caterpillar(1 + seed, 3, seed)
+            placement = placement_from_tables(d, build_placement_tables(d))
+            assert materialize_fill_edges(g, placement) == _reference_fill(g, placement)
 
 
 class TestReversal:

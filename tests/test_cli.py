@@ -4,7 +4,8 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
+from enum import IntEnum
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -516,6 +517,14 @@ def generated(tmp_path, capsys):
     return paths
 
 
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 20
+
+
+_Pair = namedtuple("_Pair", "u v")
+
+
 class TestJsonWriter:
     @settings(max_examples=200, deadline=None)
     @given(_json_values)
@@ -534,6 +543,14 @@ class TestJsonWriter:
     @example([(1, 2), [3, 4]], 0)  # a list row among tuples
     @example([(1, 2), (3, 4, 5)], 1)  # a ragged row
     @example(((-(10**30), 7),), 2)
+    # each of these leaves something besides the separators once digits and
+    # signs are deleted, or fails the %r format, so it takes the generic path
+    @example([(1, 2), (1.5, 2)], 1)
+    @example([(_Level.LOW, _Level.HIGH)], 0)  # json writes an IntEnum as its int
+    @example([(1, 2), _Pair(-3, 4)], 1)  # json writes a namedtuple as a list
+    @example([("12", 3)], 0)
+    @example([((1, 2), 3)], 1)
+    @example([(-5, 0)], 0)
     def test_pair_rows_match_json_dumps_indent_2(self, rows, depth):
         value = rows
         for _ in range(depth):

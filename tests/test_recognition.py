@@ -521,3 +521,110 @@ class TestSparseProbesMatchMaskReference:
             for h in (q, _relabelled(q, seed)):
                 assert quasi_threshold_forest(h) is not None
                 _assert_probes_match_reference(h)
+
+
+def _disjoint_union(*graphs):
+    edges, base = [], 0
+    for h in graphs:
+        edges += [(u + base, v + base) for u, v in h.edges()]
+        base += h.n
+    return build_graph(base, edges)
+
+
+def _path(k):
+    return build_graph(k, [(i, i + 1) for i in range(k - 1)])
+
+
+def _cycle(k):
+    return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
+
+
+def _random_tree_edges(n, rng):
+    return [(rng.randrange(v), v) for v in range(1, n)]
+
+
+class TestCaterpillarCountingArgument:
+    """The caterpillar and threshold probes reject without a connectivity search
+    or a full peel; they must still agree with the mask references."""
+
+    def _assert_caterpillar(self, g):
+        d = caterpillar_decomposition(g)
+        assert (None if d is None else (d.spine, d.buckets)) == _caterpillar_on_masks(g), g.edges()
+        return d
+
+    def test_disconnected_with_n_minus_1_edges(self):
+        import random
+
+        rng = random.Random(16)
+        cases = []
+        for k in range(3, 9):
+            cycle = _cycle(k)
+            cycle_with_leaf = build_graph(k + 1, cycle.edges() + [(0, k)])
+            tree = build_graph(k, _random_tree_edges(k, rng))
+            cases += [
+                _disjoint_union(tree, build_graph(1, [])),  # a tree plus an isolated vertex
+                _disjoint_union(cycle, build_graph(1, [])),  # m = n - 1 with an isolated vertex
+                _disjoint_union(_path(2), cycle),  # a K2 plus a unicyclic graph
+                _disjoint_union(cycle_with_leaf, _path(2)),
+                _disjoint_union(_path(2), cycle_with_leaf, _path(2), _cycle(3)),
+            ]
+            for j in range(1, 7):
+                cases += [_disjoint_union(cycle, _path(j)), _disjoint_union(_path(j), cycle_with_leaf)]
+            star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+            cases += [_disjoint_union(star, cycle), _disjoint_union(cycle, tree)]
+        for i, g in enumerate(cases):
+            for h in (g, _relabelled(g, i)):
+                assert self._assert_caterpillar(h) is None
+        assert sum(g.m == g.n - 1 for g in cases) > 60
+        # random edge sets of size n - 1, most of them disconnected
+        for _ in range(3000):
+            n = rng.randrange(3, 10)
+            pairs = list(combinations(range(n), 2))
+            g = build_graph(n, rng.sample(pairs, n - 1))
+            self._assert_caterpillar(g)
+
+    def test_small_and_stars(self):
+        for n in range(4):
+            for g in _all_graphs(n):
+                self._assert_caterpillar(g)
+        for k in range(1, 12):
+            star = build_graph(k + 1, [(0, i) for i in range(1, k + 1)])
+            for h in (star, _relabelled(star, k)):
+                d = self._assert_caterpillar(h)
+                assert len(d.spine) == 1 and len(d.buckets[0]) == k
+
+    def test_random_trees(self):
+        import random
+
+        rng = random.Random(2_000)
+        accepted = 0
+        for i in range(2000):
+            n = rng.randrange(1, 41)
+            g = _relabelled(build_graph(n, _random_tree_edges(n, rng)), i)
+            d = self._assert_caterpillar(g)
+            if d is not None:
+                accepted += 1
+                assert caterpillar_graph(d) == g
+        # both answers occur often enough to be tested
+        assert 200 < accepted < 1800
+
+    def test_threshold_probe_without_universal_or_isolated_vertex(self):
+        import random
+
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(3000):
+            n = rng.randrange(2, 10)
+            pairs = list(combinations(range(n), 2))
+            g = build_graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+            degrees = set(map(len, g.neighbors))
+            if 0 not in degrees and n - 1 not in degrees:
+                checked += 1
+                assert threshold_creation_sequence(g) is None
+            seq = threshold_creation_sequence(g)
+            assert (None if seq is None else seq.steps) == _threshold_sequence_on_masks(g), g.edges()
+        assert checked > 500
+        for k in range(4, 12):
+            for g in (_cycle(k), _path(k), _relabelled(_path(k), k)):
+                assert threshold_creation_sequence(g) is None
+                assert _threshold_sequence_on_masks(g) is None
