@@ -22,7 +22,6 @@ from .generators import (
     split_pig_reduction_gadget,
 )
 from .graph import (
-    EdgeSet,
     Graph,
     apply_fill,
     build_graph,
@@ -34,11 +33,9 @@ from .graph import (
     induced_subgraph,
     iter_non_edges,
     non_edges_within,
-    sorted_edges,
 )
 from .graphio import load_graph, parse_graph, save_graph, serialize_graph
 from .oracle import (
-    OracleBudget,
     brute_max_cut,
     brute_min_cobipartite,
     brute_min_pig,

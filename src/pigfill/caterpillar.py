@@ -52,11 +52,11 @@ def build_placement_tables(d: CaterpillarDecomposition) -> PlacementTables:
         row = []
         picks = []
         nxt = rows[i + 1]
+        evals += (sizes[i] + 1) * (sizes[i + 1] + 1)
         for j in range(sizes[i] + 1):
             best = None
             best_jp = 0
             for jp in range(sizes[i + 1] + 1):
-                evals += 1
                 val = comb(sizes[i] - j + jp + 1, 2) + nxt[jp]
                 if best is None or val < best:
                     best, best_jp = val, jp
@@ -66,8 +66,8 @@ def build_placement_tables(d: CaterpillarDecomposition) -> PlacementTables:
         choice[i] = tuple(picks)
     answer = None
     best_j0 = 0
+    evals += sizes[0] + 1
     for j in range(sizes[0] + 1):
-        evals += 1
         val = comb(j, 2) + rows[0][j]
         if answer is None or val < answer:
             answer, best_j0 = val, j

@@ -26,9 +26,9 @@ from .generators import (
     gen_threshold,
     split_pig_reduction_gadget,
 )
-from .graph import Graph, apply_fill, edge, sorted_edges
+from .graph import Graph, apply_fill, edge
 from .graphio import load_graph, parse_graph, serialize_graph
-from .oracle import OracleBudget, brute_max_cut, brute_min_cobipartite, brute_min_pig
+from .oracle import brute_max_cut, brute_min_cobipartite, brute_min_pig
 from .quasithreshold import qt_cobipartite_completion
 from .recognition import (
     PigVerdict,
@@ -234,12 +234,12 @@ def _cmd_complete(args) -> int:
         if args.algo == "auto" and g.n > args.max_n:
             *first, last = (row["name"] for row in _COMPLETABLE)
             raise ClassMembershipError(f"{', '.join(first)} or {last} (and too large for the oracle)")
-        cost, fill = brute_min_pig(g, OracleBudget(max_vertices=args.max_n))
+        cost, fill = brute_min_pig(g, args.max_n)
         if args.cost_only:
             result = CompletionResult(None, cost, None, "oracle")
         else:
             order = is_proper_interval(apply_fill(g, fill)).order
-            result = CompletionResult(tuple(sorted_edges(fill)), cost, None, "oracle", order=order)
+            result = CompletionResult(fill, cost, None, "oracle", order=order)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     env = _envelope(g, result, runtime_ms, sequence, digest=args.json)
     if args.json:
@@ -252,15 +252,15 @@ def _cmd_complete(args) -> int:
 def _cmd_oracle(args) -> int:
     start = time.perf_counter()
     g = _read_graph(args.graph)
-    budget = OracleBudget(max_vertices=args.max_n) if args.max_n else None
+    max_n = {"max_n": args.max_n} if args.max_n else {}  # 0 keeps the solver's own default
     if args.solver == "pig":
-        cost, fill = brute_min_pig(g, budget or OracleBudget(max_vertices=8))
-        payload = {"cost": cost, "fill_edges": [list(e) for e in sorted_edges(fill)]}
+        cost, fill = brute_min_pig(g, **max_n)
+        payload = {"cost": cost, "fill_edges": [list(e) for e in fill]}
     elif args.solver == "cobip":
-        cost, parts = brute_min_cobipartite(g, budget)
+        cost, parts = brute_min_cobipartite(g, **max_n)
         payload = {"cost": cost, "parts": [list(parts[0]), list(parts[1])]}
     else:
-        size, parts = brute_max_cut(g, budget)
+        size, parts = brute_max_cut(g, **max_n)
         payload = {"cut": size, "parts": [list(parts[0]), list(parts[1])]}
     runtime_ms = (time.perf_counter() - start) * 1000.0
     out = {

@@ -5,9 +5,9 @@ the n-bit bitmask rows that the small-n scans use are built on first read of
 ``Graph.masks`` and cached, so sparse inputs never pay O(n^2) bits unless a
 mask-based routine runs on them.  Every operation returns a new value;
 nothing here mutates.  Edges are ``(u, v)`` pairs in canonical ``u < v`` form.
-A completion's fill is a strictly ascending tuple of such pairs, built in
-that order, so it is serialized as it is; only the brute-force oracle's fill
-is a ``frozenset`` and is sorted when written out.
+A completion's fill, the brute-force oracle's included, is a strictly
+ascending tuple of such pairs, built in that order, so it is serialized as
+it is.
 """
 
 from __future__ import annotations
@@ -23,16 +23,11 @@ from typing import Iterable, Iterator
 from .errors import GraphInputError
 
 Edge = tuple[int, int]
-EdgeSet = frozenset[Edge]
 
 
 def edge(u: int, v: int) -> Edge:
     """Canonical (min, max) form of an edge."""
     return (u, v) if u < v else (v, u)
-
-
-def sorted_edges(edges: Iterable[Edge]) -> list[Edge]:
-    return sorted(edges)
 
 
 def strictly_ascending(pairs: tuple[Edge, ...]) -> bool:
@@ -199,21 +194,17 @@ def non_edges_within(g: Graph, s: Iterable[int]) -> tuple[Edge, ...]:
 
 
 def clique_pair_fill(g: Graph, s1: Iterable[int], s2: Iterable[int]) -> tuple[Edge, ...]:
-    """The pairs that make s1 and s2 cliques: non-edges inside each, ascending.
+    """The pairs that make the disjoint sides s1 and s2 cliques: non-edges inside each, ascending.
 
-    When the sides are disjoint, each vertex u of either side is followed by
-    its later non-neighbours on its own side, and the rows are read in
-    ascending u, so the pairs come out ascending with no repeat and no sort.
-    Sides that share a vertex have their two runs sorted together, and an
-    AssertionError is raised when the runs share a pair, so that a cost check
-    against the fill's length cannot count a pair twice.
+    Each vertex u of either side is followed by its later non-neighbours on
+    its own side, and the rows are read in ascending u, so the pairs come out
+    ascending with no repeat and no sort.  Raises GraphInputError when the
+    sides share a vertex.
     """
     sides = sorted(set(s1)), sorted(set(s2))
-    if not set(sides[0]).isdisjoint(sides[1]):
-        fill = tuple(sorted(non_edges_within(g, sides[0]) + non_edges_within(g, sides[1])))
-        if not strictly_ascending(fill):
-            raise AssertionError("clique pair fill repeats a pair")
-        return fill
+    shared = set(sides[0]).intersection(sides[1])
+    if shared:
+        raise GraphInputError(f"vertex {min(shared)} is on both sides")
     neighbors = g.neighbors
     rows: list[tuple[Edge, ...]] = [()] * g.n
     for keep in sides:

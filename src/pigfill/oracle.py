@@ -4,36 +4,31 @@ These search the whole space (fill-edge subsets, bipartitions, vertex
 subsets).  One piece is shared with the fast algorithms they certify: the PIG
 oracle tests candidates with ``recognition.pig_mask_check``, the claw,
 chordless-cycle, net and tent search that the proper-interval recognizer runs
-only to name the witness of a rejection.  The recognizer's accept path, the
-3-sweep LexBFS umbrella order, is not shared.  The PIG oracle skips only
-branches that leave an induced claw or chordless C4 unfixed, which no answer
-can do; the other searches enumerate everything.  Budgets make the
+only to name the witness of a rejection, and prunes by that search's claw
+(``recognition._find_claw``).  The recognizer's accept path, the 3-sweep
+LexBFS umbrella order, is not shared.  The PIG oracle skips only branches
+that leave an induced claw or chordless C4 unfixed, which no answer can do;
+the other searches enumerate everything.  A ``max_n`` budget makes the
 exponential cost explicit: inputs over budget are refused, never truncated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
 from typing import Iterable
 
 from .errors import OracleBudgetError
-from .graph import Edge, EdgeSet, Graph, iter_non_edges
-from .recognition import pig_mask_check
+from .graph import Edge, Graph, iter_non_edges
+from .recognition import _find_claw, pig_mask_check
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_vertices: int = 8
-
-
-def _require(n: int, budget: OracleBudget, what: str) -> None:
-    if budget.max_vertices < 1:
+def _require(n: int, max_n: int, what: str) -> None:
+    if max_n < 1:
         raise OracleBudgetError("budget must allow at least one vertex")
-    if n > budget.max_vertices:
+    if n > max_n:
         raise OracleBudgetError(
-            f"{what} refuses n={n} over budget {budget.max_vertices}; raise the budget explicitly"
+            f"{what} refuses n={n} over budget {max_n}; raise the budget explicitly"
         )
 
 
@@ -41,12 +36,14 @@ def _require(n: int, budget: OracleBudget, what: str) -> None:
 # minimum proper-interval completion
 
 
-def brute_min_pig(g: Graph, budget: OracleBudget | None = None) -> tuple[int, EdgeSet]:
+def brute_min_pig(g: Graph, max_n: int = 8) -> tuple[int, tuple[Edge, ...]]:
     """Minimum proper-interval completion by escalating fill size.
 
     For k = 0, 1, 2, ... the k-subsets of non-edges are tried in lexicographic
     order and the first subset that passes ``pig_mask_check`` is returned, so
-    the witness is deterministic.
+    the witness is deterministic.  The fill is a strictly ascending tuple of
+    ``u < v`` pairs, as the picks ascend.  More than ``max_n`` vertices are
+    refused.
 
     The subsets are walked depth first, one ascending non-edge index per level,
     and a branch is skipped only when it holds no passing subset.  Proper
@@ -61,8 +58,7 @@ def brute_min_pig(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Ed
     ascending order and no skipped branch holds a passing subset, so the first
     subset accepted is the one plain enumeration would return.
     """
-    budget = budget or OracleBudget(max_vertices=8)
-    _require(g.n, budget, "brute_min_pig")
+    _require(g.n, max_n, "brute_min_pig")
     n = g.n
     non_edges = list(iter_non_edges(g))
     inc = [0] * n  # inc[v]: bits of the non-edge indices at v
@@ -73,7 +69,7 @@ def brute_min_pig(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Ed
     for k in range(len(non_edges) + 1):
         picks = _first_picks(masks, n, non_edges, inc, 0, k, 0)
         if picks is not None:
-            return k, frozenset(non_edges[i] for i in picks)
+            return k, tuple(map(non_edges.__getitem__, picks))
     raise AssertionError("unreachable: the complete graph is proper interval")
 
 
@@ -126,18 +122,10 @@ def _non_edges_inside(vertices: int, inc: list[int]) -> int:
 
 def _claw_or_c4(masks, n: int) -> int | None:
     """Vertex mask of an induced claw of the rows, else of an induced C4, else None."""
-    for c in range(n):
-        rest = masks[c]
-        while rest:
-            a = rest & -rest
-            rest ^= a
-            pair = rest & ~masks[a.bit_length() - 1]
-            while pair:
-                b = pair & -pair
-                pair ^= b
-                third = pair & ~masks[b.bit_length() - 1]
-                if third:
-                    return 1 << c | a | b | (third & -third)
+    claw = _find_claw(masks, n)
+    if claw is not None:
+        c, a, b, d = claw
+        return 1 << c | 1 << a | 1 << b | 1 << d
     for a in range(n):
         far = ~masks[a] >> (a + 1) << (a + 1) & ((1 << n) - 1)
         while far:
@@ -170,15 +158,14 @@ def _set_lex_less(a_mask: int, b_mask: int) -> bool:
 Parts = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _best_bipartition(g: Graph, budget: OracleBudget | None, maximize_cut: bool, what: str) -> tuple[int, Parts]:
+def _best_bipartition(g: Graph, max_n: int, maximize_cut: bool, what: str) -> tuple[int, Parts]:
     """Exhaustive Gray-code sweep over all bipartitions with vertex 0 fixed in A.
 
     Returns (best score, (A, B)).  Score is the cut size when ``maximize_cut``
     else the number of non-edges within the two parts.  Ties resolve to the
     lexicographically least A (see ``_set_lex_less``).
     """
-    budget = budget or OracleBudget(max_vertices=20)
-    _require(g.n, budget, what)
+    _require(g.n, max_n, what)
     n = g.n
     if n == 0:
         return 0, ((), ())
@@ -211,17 +198,17 @@ def _best_bipartition(g: Graph, budget: OracleBudget | None, maximize_cut: bool,
     return best, (a, b)
 
 
-def brute_min_cobipartite(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Parts]:
+def brute_min_cobipartite(g: Graph, max_n: int = 20) -> tuple[int, Parts]:
     """Minimum fill turning the graph into two cliques, over all bipartitions.
 
     Ties resolve to the lexicographically least part containing vertex 0.
     """
-    return _best_bipartition(g, budget, False, "brute_min_cobipartite")
+    return _best_bipartition(g, max_n, False, "brute_min_cobipartite")
 
 
-def brute_max_cut(g: Graph, budget: OracleBudget | None = None) -> tuple[int, Parts]:
+def brute_max_cut(g: Graph, max_n: int = 20) -> tuple[int, Parts]:
     """Maximum cut over all bipartitions, same tie rule as the co-bipartite sweep."""
-    return _best_bipartition(g, budget, True, "brute_max_cut")
+    return _best_bipartition(g, max_n, True, "brute_max_cut")
 
 
 # ---------------------------------------------------------------------------

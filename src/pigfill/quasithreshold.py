@@ -88,6 +88,7 @@ def build_dp_tables(f: QtForest, *, keep_cells: bool = False) -> DpTables:
             n_ch = f.subtree_size[ch]
             d_ch = d[ch]
             x_i = x_prev + n_ch
+            evals += (x_prev + 1) * (n_ch + 1)  # the (j, k) pairs tried below
             cur = [0] * (x_i + 1)
             picks = [0] * (x_i + 1)
             for j in range(x_i + 1):
@@ -96,7 +97,6 @@ def build_dp_tables(f: QtForest, *, keep_cells: bool = False) -> DpTables:
                 best = None
                 best_k = lo
                 for k in range(lo, hi + 1):
-                    evals += 1
                     val = prev[k] + d_ch[j - k] + k * (j - k) + (x_prev - k) * (n_ch - j + k)
                     if best is None or val < best:
                         best, best_k = val, k

@@ -66,16 +66,17 @@ def _find_claw(masks: tuple[int, ...] | list[int], n: int) -> tuple[int, int, in
     return None
 
 
-def _peo_violation(masks, n: int) -> tuple[int, int, int] | None:
-    """None iff the reversed LexBFS order is a perfect elimination order (iff chordal).
+def _peo_violation(masks, n: int, sweep: list[int]) -> tuple[int, int, int] | None:
+    """None iff the reversed ``sweep`` is a perfect elimination order of the rows.
 
-    On failure returns (v, u, w): u, w are later neighbors of v, u the
-    earliest, and w not adjacent to u.  The order is the first sweep of the
-    3-sweep test.  As in Tarjan and Yannakakis (*Simple linear-time
-    algorithms to test chordality of graphs*, SIAM J. Comput. 13, 1984), the
-    violation closes a chordless cycle v, u, ..., w (see ``_cycle_through``).
+    ``sweep`` is ``_lbfs(masks, n)``, the first sweep of the 3-sweep test,
+    so None holds iff the graph is chordal.  On failure returns (v, u, w):
+    u, w are later neighbors of v, u the earliest, and w not adjacent to u.
+    As in Tarjan and Yannakakis (*Simple linear-time algorithms to test
+    chordality of graphs*, SIAM J. Comput. 13, 1984), the violation closes a
+    chordless cycle v, u, ..., w (see ``_cycle_through``).
     """
-    order = _lbfs(masks, n)[::-1]
+    order = sweep[::-1]
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -186,26 +187,14 @@ def _find_net_or_tent(masks, n: int) -> tuple[str, tuple[int, ...]] | None:
     return None if tent is None else ("tent", tent)
 
 
-def _pig_obstruction(masks, n: int) -> tuple[str, tuple[int, ...]] | None:
-    """First obstruction to proper-interval membership, as (kind, vertices), or None.
-
-    Tried in turn: a claw, a failed elimination step of the reversed LexBFS
-    order (so a chordless cycle), a net, a tent.  A ``chordless-cycle`` entry
-    holds the violation (v, u, w) of ``_peo_violation``, which
-    ``_cycle_through`` closes into the cycle.
-    """
-    claw = _find_claw(masks, n)
-    if claw is not None:
-        return "claw", claw
-    violation = _peo_violation(masks, n)
-    if violation is not None:
-        return "chordless-cycle", violation
-    return _find_net_or_tent(masks, n)
-
-
 def pig_mask_check(masks, n: int) -> bool:
-    """Fast proper-interval membership test on raw adjacency masks."""
-    return _pig_obstruction(masks, n) is None
+    """Fast proper-interval membership test on raw adjacency masks: no claw,
+    no failed elimination step of the reversed LexBFS order, no net or tent."""
+    return (
+        _find_claw(masks, n) is None
+        and _peo_violation(masks, n, _lbfs(masks, n)) is None
+        and _find_net_or_tent(masks, n) is None
+    )
 
 
 def _lbfs(masks, n: int) -> list[int]:
@@ -275,16 +264,16 @@ def _is_peo(masks, n: int) -> bool:
     return True
 
 
-def _three_sweep_order(g: Graph) -> tuple[int, ...] | None:
-    """Corneil's 3-sweep LexBFS order, or None when g is not chordal.
+def _three_sweep_order(g: Graph, sigma: list[int]) -> tuple[int, ...] | None:
+    """Corneil's 3-sweep LexBFS order from its first sweep, or None when g is not chordal.
 
-    sigma1 breaks ties by smallest id, sigma2 = LBFS+(sigma1) and
-    sigma3 = LBFS+(sigma2), where LBFS+ breaks ties towards the vertex that
-    came latest in the previous sweep.  sigma3 is an umbrella order whenever
-    g is a proper interval graph; callers still check that it is one.
+    ``sigma`` is sigma1 = ``_lbfs(g.masks, g.n)``, ties by smallest id.
+    sigma2 = LBFS+(sigma1) and sigma3 = LBFS+(sigma2), where LBFS+ breaks
+    ties towards the vertex that came latest in the previous sweep.  sigma3
+    is an umbrella order whenever g is a proper interval graph; callers
+    still check that it is one.
     """
     n, neighbors = g.n, g.neighbors
-    sigma = _lbfs(g.masks, n)  # rank space of sigma1 is the ids
     for sweep in range(2):
         prev = sigma[::-1]  # rank 0 is the vertex that came latest
         masks = _rank_masks(neighbors, prev)
@@ -348,23 +337,28 @@ def is_proper_interval(g: Graph) -> PigVerdict:
     net and tent): a claw, then a chordless cycle, then a net, then a tent.
     The first LexBFS sweep decides chordality: the cycle is closed at the
     first vertex where the reversed sweep fails as a perfect elimination
-    order (``_peo_violation``).
+    order (``_peo_violation``), and that sweep runs once for both paths.
     """
-    order = _three_sweep_order(g)
+    masks, n = g.masks, g.n
+    sweep = _lbfs(masks, n)
+    order = _three_sweep_order(g, sweep)
     if order is not None and is_umbrella_order(g, order):
         return PigVerdict(True, order=order)
-    masks, n = g.masks, g.n
-    found = _pig_obstruction(masks, n)
+    claw = _find_claw(masks, n)
+    if claw is not None:
+        return PigVerdict(False, "claw", claw)
+    violation = _peo_violation(masks, n, sweep)
+    if violation is not None:
+        cycle = _cycle_through(masks, n, *violation)
+        if cycle is None:  # pragma: no cover - a failed LexBFS order closes a cycle
+            raise AssertionError("the LexBFS elimination order failed without a chordless cycle")
+        return PigVerdict(False, "chordless-cycle", cycle)
+    found = _find_net_or_tent(masks, n)
     if found is None:
         raise AssertionError(
             "the 3-sweep order is not an umbrella order, yet no claw, net, tent or chordless cycle was found"
         )
-    kind, witness = found
-    if kind == "chordless-cycle":
-        witness = _cycle_through(masks, n, *witness)
-        if witness is None:  # pragma: no cover - a failed LexBFS order closes a cycle
-            raise AssertionError("the LexBFS elimination order failed without a chordless cycle")
-    return PigVerdict(False, kind, witness)
+    return PigVerdict(False, *found)
 
 
 # ---------------------------------------------------------------------------
@@ -687,10 +681,11 @@ def split_partition(g: Graph) -> SplitPartition | None:
     with degrees d_1 >= ... >= d_n and h the largest i with d_i >= i - 1,
     the graph is split iff sum_{i<=h} d_i = h(h - 1) + sum_{i>h} d_i.
 
-    The raw top-degree clique is normalized by absorbing any independent
-    vertex that is complete to it (there is at most one at a time).  Reads
-    the neighbour tuples only: ``inside[w]`` counts w's neighbours in the
-    clique, kept up to date as vertices join it.
+    The top h vertices are the clique and the rest the independent side.  No
+    independent vertex is complete to the clique: it would have degree at
+    least h, so d_{h+1} >= h and h would not be the largest such index.
+    Reads the neighbour tuples only: ``inside[w]`` counts w's neighbours in
+    the clique.
     """
     n = g.n
     neighbors = g.neighbors
@@ -709,20 +704,9 @@ def split_partition(g: Graph) -> SplitPartition | None:
     for v in order[:h]:
         in_clique[v] = 1
     inside = [sum(map(in_clique.__getitem__, nb)) for nb in neighbors]
-    clique = set(order[:h])
-    indep = set(order[h:])
-    # Equality in the criterion forces the top h to be a clique and the rest independent
-    if any(inside[v] != h - 1 for v in clique) or any(inside[u] != degree[u] for u in indep):
+    clique, indep = order[:h], order[h:]
+    # Equality in the criterion forces the top h to be a clique and the rest
+    # independent, and the largest h leaves no independent vertex complete to it
+    if any(inside[v] != h - 1 for v in clique) or any(inside[u] != degree[u] or inside[u] == h for u in indep):
         raise AssertionError("the Hammer-Simeone degree criterion held without a split partition")
-    moved = True
-    while moved:
-        moved = False
-        for v in sorted(indep):
-            if inside[v] == len(clique):
-                indep.remove(v)
-                clique.add(v)
-                for w in neighbors[v]:
-                    inside[w] += 1
-                moved = True
-                break
     return SplitPartition(tuple(sorted(clique)), tuple(sorted(indep)))

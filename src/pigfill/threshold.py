@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import ClassMembershipError, GraphInputError
 from .graph import Graph, clique_pair_fill, complement, induced_subgraph, non_edges_within
-from .oracle import WITNESS_CAP, OracleBudget, brute_max_cut, forbidden_subgraph_scan
+from .oracle import WITNESS_CAP, brute_max_cut, forbidden_subgraph_scan
 from .recognition import (
     DOMINATING,
     ISOLATED,
@@ -153,11 +153,13 @@ class MaxcutIdentityReport:
     identity_holds: bool
 
 
-def maxcut_identity_check(g: Graph, budget: OracleBudget | None = None) -> MaxcutIdentityReport:
+def maxcut_identity_check(g: Graph, max_n: int | None = None) -> MaxcutIdentityReport:
+    """The identity on g; ``max_n`` is the max-cut oracle's budget, None for its default."""
     run = threshold_run(g)
     active = sorted(v for v in range(g.n) if g.degree(v) > 0)
     sub, _ = induced_subgraph(g, active)
-    cut, _ = brute_max_cut(complement(sub), budget)
+    comp = complement(sub)
+    cut, _ = brute_max_cut(comp) if max_n is None else brute_max_cut(comp, max_n)
     pairs = sub.n * (sub.n - 1) // 2
     return MaxcutIdentityReport(
         min_fill=run.cost,

@@ -29,7 +29,6 @@ from .generators import (
     gen_threshold,
 )
 from .oracle import (
-    OracleBudget,
     brute_min_cobipartite,
     brute_min_pig,
     forbidden_subgraph_scans,
@@ -99,7 +98,6 @@ def _valid_pig_completion(g: Graph, res) -> bool:
 def xcheck_threshold(
     max_n: int = 7, random_trials: int = 0, random_max_n: int = 16, seed: int = 0
 ) -> list[CheckRow]:
-    budget = OracleBudget(max_vertices=max_n)
     optimality = CheckRow("threshold greedy cost == exhaustive PIG optimum")
     validity = CheckRow("threshold completion is valid and proper interval")
     equivalence = CheckRow("PIG optimum == co-bipartite optimum (connected)")
@@ -107,7 +105,7 @@ def xcheck_threshold(
     for n in range(1, max_n + 1):
         for g, seq in enumerate_threshold(n):
             res = threshold_pig_completion(g, seq)
-            pig_cost, _ = brute_min_pig(g, budget)
+            pig_cost, _ = brute_min_pig(g, max_n)
             optimality.count(res.cost == pig_cost, f"n={n} tags={seq.tags()} {res.cost}!={pig_cost}")
             validity.count(_valid_pig_completion(g, res), f"n={n} tags={seq.tags()}")
             if n == 1 or seq.steps[-1][1] == DOMINATING:
@@ -145,7 +143,6 @@ def xcheck_quasithreshold(
     symmetry = CheckRow("qt DP rows are palindromes (side swap)")
     certificate = CheckRow("qt certificate sizes and cost match")
     lower = CheckRow("qt DP lower-bounds the PIG optimum (connected)")
-    pig_budget = OracleBudget(max_vertices=lower_bound_max_n)
     for n in range(1, max_n + 1):
         for forest in enumerate_rooted_forests(n):
             g = qt_forest_graph(forest)
@@ -169,7 +166,7 @@ def xcheck_quasithreshold(
                 f"n={n}",
             )
             if n <= lower_bound_max_n and len(forest.roots) == 1:
-                pig_cost, _ = brute_min_pig(g, pig_budget)
+                pig_cost, _ = brute_min_pig(g, lower_bound_max_n)
                 lower.count(res.cost <= pig_cost, f"n={n} {res.cost}>{pig_cost}")
                 if res.cost < pig_cost:
                     lower.notes.append(f"strict gap at n={n}: cobip {res.cost} < pig {pig_cost}")
@@ -217,11 +214,11 @@ def xcheck_caterpillar(
     reversal = CheckRow("caterpillar DP is reversal invariant")
     memo: dict[tuple[int, ...], int] = {}
 
-    def check_instance(g: Graph, d, budget: OracleBudget) -> None:
+    def check_instance(g: Graph, d, oracle_max_n: int) -> None:
         res = caterpillar_pig_completion(g)
         key = _canonical_caterpillar_key(g)
         if key not in memo:
-            memo[key] = brute_min_pig(g, budget)[0]
+            memo[key] = brute_min_pig(g, oracle_max_n)[0]
         exactness.count(res.cost == memo[key], f"buckets={key} {res.cost}!={memo[key]}")
         validity.count(_valid_pig_completion(g, res), f"buckets={key}")
         reversal.count(
@@ -229,25 +226,23 @@ def xcheck_caterpillar(
             f"buckets={key}",
         )
 
-    budget = OracleBudget(max_vertices=max_n)
     for n in range(1, max_n + 1):
         for spine_len in range(1, n + 1):
             for sizes in _compositions(n - spine_len, spine_len):
                 if sizes > sizes[::-1]:
                     continue  # reversed twin covers it
                 g, d = caterpillar_from_buckets(sizes)
-                check_instance(g, d, budget)
+                check_instance(g, d, max_n)
     rows = [exactness, validity, reversal]
     if random_trials:
         rng = random.Random(seed)
-        budget = OracleBudget(max_vertices=random_max_n)
         done = 0
         while done < random_trials:
             spine_len = rng.randint(2, 5)
             g, d = gen_caterpillar(spine_len, 2, rng.randrange(2**32))
             if g.n > random_max_n:
                 continue
-            check_instance(g, d, budget)
+            check_instance(g, d, random_max_n)
             done += 1
     return rows
 

@@ -51,6 +51,15 @@ class TestPlacementTables:
         assert tables.answer == 2
         assert tables.answer == brute_min_pig(g)[0]
 
+    @pytest.mark.parametrize(
+        "make, count",
+        [(lambda: gen_caterpillar(9500, 2, 3), 37619), (lambda: caterpillar_from_buckets([5, 0, 7, 3]), 56)],
+    )
+    def test_eval_count_is_the_pairs_tried(self, make, count):
+        # the counter adds each row's pairs at once; these are the counts of
+        # one increment per evaluation
+        assert build_placement_tables(make()[1]).eval_count == count
+
 
 class TestCompletion:
     def test_p5_free(self):

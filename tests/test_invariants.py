@@ -72,7 +72,7 @@ if __debug__:
 import pigfill.recognition as rec
 from pigfill import build_graph
 
-rec._three_sweep_order = lambda g: (0, 2, 1, 3)
+rec._three_sweep_order = lambda g, sigma: (0, 2, 1, 3)
 p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
 try:
     rec.is_proper_interval(p4)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pigfill import (
-    OracleBudget,
     OracleBudgetError,
     apply_fill,
     brute_max_cut,
@@ -24,6 +23,7 @@ from pigfill import (
     non_edges_within,
 )
 from pigfill import xcheck
+from pigfill.graph import strictly_ascending
 from pigfill.oracle import _CLASS4, _PAIRS4, FAMILIES, _claw_or_c4, _induced_cycle, _net_or_tent
 from pigfill.recognition import pig_mask_check
 from pigfill.xcheck import _all_graphs as _sweep_graphs, _chunk_graphs, _chunk_size, _sweep_chunks
@@ -43,7 +43,7 @@ def _plain_min_pig(g):
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
             if pig_mask_check(masks, g.n):
-                return k, frozenset(combo)
+                return k, combo
     raise AssertionError("unreachable: the complete graph is proper interval")
 
 
@@ -114,28 +114,35 @@ def _is_claw_or_c4(g, quad):
 
 class TestBruteMinPig:
     def test_p4(self, p4):
-        assert brute_min_pig(p4) == (0, frozenset())
+        assert brute_min_pig(p4) == (0, ())
 
     def test_claw(self, claw):
         cost, fill = brute_min_pig(claw)
         assert cost == 1
-        assert fill == {(1, 2)}  # lexicographically first working subset
+        assert fill == ((1, 2),)  # lexicographically first working subset
         assert is_proper_interval(apply_fill(claw, fill)).is_pig
 
     def test_c4_single_chord(self, c4):
         cost, fill = brute_min_pig(c4)
-        assert (cost, fill) == (1, frozenset({(0, 2)}))
+        assert (cost, fill) == (1, ((0, 2),))
 
     def test_budget_refusal(self):
         g = build_graph(9, [])
         with pytest.raises(OracleBudgetError):
             brute_min_pig(g)
-        assert brute_min_pig(g, OracleBudget(max_vertices=9))[0] == 0
+        assert brute_min_pig(g, max_n=9)[0] == 0
 
     def test_star_k8_two_cliques(self):
-        cost, fill = brute_min_pig(_star(8), OracleBudget(max_vertices=9))
+        cost, fill = brute_min_pig(_star(8), max_n=9)
         assert cost == 12  # C(4,2) + C(4,2): leaves split into two cliques of four
-        assert fill == {*combinations(range(1, 5), 2), *combinations(range(5, 9), 2)}
+        assert fill == (*combinations(range(1, 5), 2), *combinations(range(5, 9), 2))
+
+    def test_fill_is_an_ascending_tuple_of_canonical_pairs(self):
+        for g in _all_graphs(6):
+            cost, fill = brute_min_pig(g)
+            assert type(fill) is tuple and len(fill) == cost, g
+            assert all(0 <= u < v < g.n for u, v in fill), g
+            assert strictly_ascending(fill), g
 
 
 class TestPrunedSearchMatchesPlain:

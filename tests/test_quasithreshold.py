@@ -13,6 +13,7 @@ from pigfill import (
     build_graph,
     enumerate_rooted_forests,
     forest_from_parents,
+    gen_quasi_threshold,
     partition_cost,
     qt_cobipartite_completion,
     qt_forest_graph,
@@ -54,6 +55,12 @@ class TestDpTables:
         forest = forest_from_parents([None] + list(range(31)))  # chain, K32
         tables = build_dp_tables(forest)
         assert tables.eval_count <= 3 * 32**3
+
+    @pytest.mark.parametrize("n, count", [(300, 48930), (580, 179890)])
+    def test_eval_count_is_the_pairs_tried(self, n, count):
+        # the counter adds each merge's (j, k) pairs at once; these are the
+        # counts of one increment per evaluation
+        assert build_dp_tables(gen_quasi_threshold(n, n)[1]).eval_count == count
 
 
 class TestBacktrack:

@@ -141,9 +141,21 @@ class TestProperInterval:
     def test_bad_sweep_order_raises(self, p4, monkeypatch):
         # (0, 2, 1, 3) splits N[0] = {0, 1}; p4 has no witness, so the
         # recognizer must fail loudly rather than accept without a certificate
-        monkeypatch.setattr(recognition, "_three_sweep_order", lambda g: (0, 2, 1, 3))
+        monkeypatch.setattr(recognition, "_three_sweep_order", lambda g, sigma: (0, 2, 1, 3))
         with pytest.raises(AssertionError, match="umbrella"):
             is_proper_interval(p4)
+
+    def test_first_sweep_runs_once(self, p4, monkeypatch):
+        # a non-chordal graph is rejected on the first sweep alone, and a
+        # chordal one runs the three sweeps and no more
+        lbfs, calls = recognition._lbfs, []
+        monkeypatch.setattr(recognition, "_lbfs", lambda masks, n: calls.append(n) or lbfs(masks, n))
+        c5, c6 = (build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (5, 6))
+        net = build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+        for g, kind, sweeps in [(c5, "chordless-cycle", 1), (c6, "chordless-cycle", 1), (p4, None, 3), (net, "net", 3)]:
+            calls.clear()
+            assert is_proper_interval(g).witness_kind == kind
+            assert len(calls) == sweeps, (g, kind)
 
 
 def _assert_claw_verdict(g, verdict):
