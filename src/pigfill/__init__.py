@@ -25,13 +25,10 @@ from .graph import (
     Graph,
     apply_fill,
     build_graph,
-    clique_pair_fill,
     complement,
     connected_components,
     edge,
-    graph_from_masks,
     induced_subgraph,
-    iter_non_edges,
     non_edges_within,
 )
 from .graphio import load_graph, parse_graph, save_graph, serialize_graph

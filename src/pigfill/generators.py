@@ -5,17 +5,23 @@ Same seed, same instance: all randomness flows through ``random.Random(seed)``
 and every tie-break is fixed, so generated graphs serialize identically across
 runs.  Rooted forests come from the level sequences of Beyer and Hedetniemi
 (*Constant time generation of rooted trees*, SIAM J. Comput. 9, 1980).
+
+An instance that could not be parsed back (more than ``graphio.MAX_VERTICES``
+vertices) or, for the dense threshold, split and gadget families, one with
+more than ``MAX_PAIRS`` vertex pairs is refused with GraphInputError before
+anything is drawn or allocated for it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterator
 
 from .errors import ClassMembershipError, GraphInputError
-from .graph import Graph, build_graph, connected_components, graph_from_masks
+from .graph import Graph, build_graph, connected_components
+from .graphio import MAX_VERTICES
 from .oracle import forbidden_subgraph_scan
 from .recognition import (
     DOMINATING,
@@ -31,6 +37,19 @@ from .recognition import (
     split_partition,
 )
 
+MAX_PAIRS = 2 * 10**6  # threshold n = 2000 (989 723 edges) peaks near 280 MB, the 31-vertex gadget near 305 MB
+
+
+def _check_size(n: int, dense: bool = False) -> None:
+    """Refuse an instance of n vertices above MAX_VERTICES or, when dense, above MAX_PAIRS pairs."""
+    if n > MAX_VERTICES:
+        raise GraphInputError(f"the instance would have {n} vertices, above the limit of {MAX_VERTICES}")
+    if dense and n * (n - 1) // 2 > MAX_PAIRS:
+        raise GraphInputError(
+            f"the instance would have {n} vertices, so up to {n * (n - 1) // 2} edges,"
+            f" above the limit of {MAX_PAIRS} vertex pairs"
+        )
+
 
 # ---------------------------------------------------------------------------
 # threshold
@@ -43,6 +62,7 @@ def gen_threshold(n: int, p_dominating: float = 0.5, seed: int = 0) -> tuple[Gra
         raise GraphInputError("n must be at least 1")
     if not 0.0 <= p_dominating <= 1.0:
         raise GraphInputError("p_dominating must be in [0, 1]")
+    _check_size(n, dense=True)
     rng = random.Random(seed)
     tags = [ISOLATED]
     tags += [DOMINATING if rng.random() < p_dominating else ISOLATED for _ in range(n - 1)]
@@ -71,6 +91,7 @@ def gen_quasi_threshold(n: int, seed: int = 0) -> tuple[Graph, QtForest]:
     smaller-id parent); edges are the strict ancestor pairs."""
     if n < 1:
         raise GraphInputError("n must be at least 1")
+    _check_size(n)
     rng = random.Random(seed)
     parents: list[int | None] = [None]
     for v in range(1, n):
@@ -134,6 +155,7 @@ def gen_caterpillar(spine_len: int, max_leaves: int, seed: int = 0) -> tuple[Gra
         raise GraphInputError("spine_len must be at least 1")
     if max_leaves < 0:
         raise GraphInputError("max_leaves must be nonnegative")
+    _check_size(spine_len * (1 + max_leaves))
     rng = random.Random(seed)
     sizes = [rng.randint(0, max_leaves) for _ in range(spine_len)]
     return caterpillar_from_buckets(sizes)
@@ -148,6 +170,7 @@ def gen_split(n: int, seed: int = 0) -> tuple[Graph, SplitPartition]:
     pick a nonempty neighbor set inside the clique."""
     if n < 1:
         raise GraphInputError("n must be at least 1")
+    _check_size(n, dense=True)
     rng = random.Random(seed)
     c = 1 if n == 1 else rng.randint(1, n - 1)
     edges = [(u, v) for u in range(c) for v in range(u + 1, c)]
@@ -181,7 +204,12 @@ def split_pig_reduction_gadget(g: Graph) -> GadgetResult:
     Layout: copy 1 keeps the input ids, copy 2 is shifted by n, then the two
     fresh cliques of size n^2 follow.  Both clique copies and both fresh
     cliques form one clique; each independent copy keeps its original
-    adjacency into its own clique copy and nothing else.
+    adjacency into its own clique copy and nothing else.  The neighbour
+    tuples are built directly: a member of the big clique gets the others
+    (slices of one ascending list, so the int objects are shared) plus its
+    independent neighbours.  A non-split input, a disconnected one and one
+    whose gadget has more than ``MAX_PAIRS`` vertex pairs (base n above 31)
+    are refused, in that order.
     """
     part = split_partition(g)
     if part is None:
@@ -191,26 +219,23 @@ def split_pig_reduction_gadget(g: Graph) -> GadgetResult:
         raise GraphInputError("the gadget requires a connected split graph")
     n = g.n
     total = 2 * n + 2 * n * n
-    big = [c for c in part.clique] + [n + c for c in part.clique] + list(range(2 * n, total))
-    big_mask = sum(1 << v for v in big)
-    masks = [0] * total
-    for v in big:
-        masks[v] = big_mask & ~(1 << v)
-    for u in part.independent:
-        for shift in (0, n):
-            uu = u + shift
+    _check_size(total, dense=True)
+    big = [*part.clique, *(n + c for c in part.clique), *range(2 * n, total)]  # ascending
+    copies = (part.independent, tuple(n + u for u in part.independent))
+    extra: list[list[int]] = [[] for _ in range(total)]
+    for shift in (0, n):
+        for u in part.independent:
             for w in g.neighbors[u]:
-                masks[uu] |= 1 << (w + shift)
-                masks[w + shift] |= 1 << uu
-    graph = graph_from_masks(masks)
-    copy1 = tuple(range(n))
-    copy2 = tuple(range(n, 2 * n))
+                extra[u + shift].append(w + shift)
+                extra[w + shift].append(u + shift)
+    neighbors: list[tuple[int, ...]] = [()] * total
+    for i, v in enumerate(big):
+        neighbors[v] = tuple(sorted(big[:i] + big[i + 1 :] + extra[v]))
+    for u in chain(*copies):
+        neighbors[u] = tuple(sorted(extra[u]))
     return GadgetResult(
-        graph=graph,
-        copy_maps=(copy1, copy2),
-        big_clique=tuple(sorted(big)),
-        independent_copies=(
-            tuple(part.independent),
-            tuple(n + u for u in part.independent),
-        ),
+        graph=Graph(total, tuple(neighbors)),
+        copy_maps=(tuple(range(n)), tuple(range(n, 2 * n))),
+        big_clique=tuple(big),
+        independent_copies=copies,
     )

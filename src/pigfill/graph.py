@@ -5,9 +5,10 @@ the n-bit bitmask rows that the small-n scans use are built on first read of
 ``Graph.masks`` and cached, so sparse inputs never pay O(n^2) bits unless a
 mask-based routine runs on them.  Every operation returns a new value;
 nothing here mutates.  Edges are ``(u, v)`` pairs in canonical ``u < v`` form.
-A completion's fill, the brute-force oracle's included, is a strictly
-ascending tuple of such pairs, built in that order, so it is serialized as
-it is.
+``build_graph`` is the one validating constructor and ``non_edges_within``
+the one builder of non-edge lists: a completion's fill, the brute-force
+oracle's included, is a strictly ascending tuple of such pairs, built in
+that order, so it is serialized as it is.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, filterfalse, islice, repeat
+from itertools import chain, islice
 from operator import lt
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import GraphInputError
 
@@ -107,38 +108,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return _finish(n, adj)
 
 
-def graph_from_masks(masks: list[int]) -> Graph:
-    """Build a graph directly from adjacency bitmasks (symmetry is trusted-but-verified).
-
-    The given rows become the graph's cached ``masks``.
-    """
-    n = len(masks)
-    neighbors = []
-    for v, m in enumerate(masks):
-        if m >> n:
-            raise GraphInputError(f"mask of vertex {v} addresses vertices >= n")
-        if m >> v & 1:
-            raise GraphInputError(f"self-loop at vertex {v}")
-        row = []
-        while m:
-            low = m & -m
-            row.append(low.bit_length() - 1)
-            m ^= low
-        neighbors.append(tuple(row))
-    for v in range(n):
-        for w in neighbors[v]:
-            if not masks[w] >> v & 1:
-                raise GraphInputError(f"asymmetric adjacency between {v} and {w}")
-    g = Graph(n, tuple(neighbors))
-    g.__dict__["masks"] = tuple(masks)
-    return g
-
-
 def complement(g: Graph) -> Graph:
     """Graph with edge uv present iff absent in g.  An involution."""
-    full = (1 << g.n) - 1
-    masks = [full & ~g.masks[v] & ~(1 << v) for v in range(g.n)]
-    return graph_from_masks(masks)
+    return build_graph(g.n, non_edges_within(g, range(g.n)))
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -179,38 +151,27 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
     return comps
 
 
-def non_edges_within(g: Graph, s: Iterable[int]) -> tuple[Edge, ...]:
-    """All pairs ``u < v`` within ``s`` that are not edges of g, in ascending order.
-
-    Reads the neighbour tuples only; no bitmask row is built.
-    """
-    keep = sorted(set(s))
-    _check_subset(g, keep)
-    neighbors = g.neighbors
-    out: list[Edge] = []
-    for i, u in enumerate(keep):
-        out.extend(zip(repeat(u), filterfalse(set(neighbors[u]).__contains__, keep[i + 1 :])))
-    return tuple(out)
-
-
-def clique_pair_fill(g: Graph, s1: Iterable[int], s2: Iterable[int]) -> tuple[Edge, ...]:
+def non_edges_within(g: Graph, s1: Iterable[int], s2: Iterable[int] = ()) -> tuple[Edge, ...]:
     """The pairs that make the disjoint sides s1 and s2 cliques: non-edges inside each, ascending.
 
     Each vertex u of either side is followed by its later non-neighbours on
     its own side, and the rows are read in ascending u, so the pairs come out
-    ascending with no repeat and no sort.  Raises GraphInputError when the
-    sides share a vertex.
+    ascending with no repeat and no sort; ``non_edges_within(g, range(g.n))``
+    is every non-edge in lexicographic order.  Reads the neighbour tuples
+    only; no bitmask row is built.  Raises GraphInputError when the sides
+    share a vertex or a vertex is out of range.
     """
     sides = sorted(set(s1)), sorted(set(s2))
     shared = set(sides[0]).intersection(sides[1])
     if shared:
         raise GraphInputError(f"vertex {min(shared)} is on both sides")
     neighbors = g.neighbors
-    rows: list[tuple[Edge, ...]] = [()] * g.n
+    rows: list[Iterable[Edge]] = [()] * g.n
     for keep in sides:
         _check_subset(g, keep)
         for i, u in enumerate(keep):
-            rows[u] = tuple(zip(repeat(u), filterfalse(set(neighbors[u]).__contains__, keep[i + 1 :])))
+            adjacent = set(neighbors[u])
+            rows[u] = [(u, v) for v in keep[i + 1 :] if v not in adjacent]
     return tuple(chain.from_iterable(rows))
 
 
@@ -238,12 +199,3 @@ def apply_fill(g: Graph, fill: Iterable[Edge]) -> Graph:
         added.update(neighbors[v])
         neighbors[v] = tuple(sorted(added))
     return Graph(n, tuple(neighbors))
-
-
-def iter_non_edges(g: Graph) -> Iterator[Edge]:
-    """Non-edges of g in lexicographic order."""
-    for u in range(g.n):
-        mu = g.masks[u]
-        for v in range(u + 1, g.n):
-            if not mu >> v & 1:
-                yield (u, v)

@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 from typing import Iterable
 
 from .errors import OracleBudgetError
-from .graph import Edge, Graph, iter_non_edges
+from .graph import Edge, Graph, non_edges_within
 from .recognition import _find_claw, pig_mask_check
 
 
@@ -60,7 +60,7 @@ def brute_min_pig(g: Graph, max_n: int = 8) -> tuple[int, tuple[Edge, ...]]:
     """
     _require(g.n, max_n, "brute_min_pig")
     n = g.n
-    non_edges = list(iter_non_edges(g))
+    non_edges = non_edges_within(g, range(n))
     inc = [0] * n  # inc[v]: bits of the non-edge indices at v
     for i, (u, v) in enumerate(non_edges):
         inc[u] |= 1 << i
@@ -74,7 +74,7 @@ def brute_min_pig(g: Graph, max_n: int = 8) -> tuple[int, tuple[Edge, ...]]:
 
 
 def _first_picks(
-    masks: list[int], n: int, non_edges: list[Edge], inc: list[int], p: int, rem: int, need: int
+    masks: list[int], n: int, non_edges: tuple[Edge, ...], inc: list[int], p: int, rem: int, need: int
 ) -> tuple[int, ...] | None:
     """Lexicographically first ``rem`` ascending non-edge indices from p on whose
     edges, added to ``masks``, pass ``pig_mask_check``; None if there are none.

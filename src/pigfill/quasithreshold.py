@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClassMembershipError, GraphInputError
-from .graph import Graph, clique_pair_fill
+from .graph import Graph, non_edges_within
 from .oracle import WITNESS_CAP, forbidden_subgraph_scan
 from .recognition import (
     QtForest,
@@ -180,7 +180,7 @@ def qt_cobipartite_completion(
         raise AssertionError("backtracked side size disagrees with the argmin")
     fill = None
     if not cost_only:
-        fill = clique_pair_fill(g, s1, s2)
+        fill = non_edges_within(g, s1, s2)
         if len(fill) != cost:
             raise AssertionError("DP cost disagrees with the materialized fill")
     # A connected qt graph's co-bipartite optimum bounds its PIG optimum, and

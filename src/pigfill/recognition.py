@@ -499,7 +499,7 @@ def forest_from_parents(parents: list[int | None]) -> QtForest:
     n = len(parents)
     children: list[list[int]] = [[] for _ in range(n)]
     roots = []
-    for v, p in enumerate(parents):
+    for v, p in enumerate(parents):  # ascending v: every list here comes out ascending
         if p is None:
             roots.append(v)
         elif 0 <= p < n:
@@ -515,22 +515,22 @@ def forest_from_parents(parents: list[int | None]) -> QtForest:
             size[v] += size[c]
     return QtForest(
         parent=tuple(parents),
-        roots=tuple(sorted(roots)),
-        children=tuple(tuple(sorted(c)) for c in children),
+        roots=tuple(roots),
+        children=tuple(map(tuple, children)),
         subtree_size=tuple(size),
     )
 
 
 def _forest_postorder(children: list[list[int]] | tuple[tuple[int, ...], ...], roots) -> list[int]:
     order = []
-    stack = [(r, False) for r in sorted(roots, reverse=True)]
+    stack = [(r, False) for r in reversed(roots)]
     while stack:
         v, done = stack.pop()
         if done:
             order.append(v)
         else:
             stack.append((v, True))
-            for c in sorted(children[v], reverse=True):
+            for c in reversed(children[v]):
                 stack.append((c, False))
     return order
 

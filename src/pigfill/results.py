@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, clique_pair_fill, strictly_ascending
+from .graph import Edge, Graph, non_edges_within, strictly_ascending
 from .recognition import is_umbrella_order
 
 
@@ -79,7 +79,7 @@ def validate_completion(g: Graph, result: CompletionResult) -> None:
         outside = set(range(g.n)) - s1 - s2
         if any(g.degree(v) > 0 for v in outside):
             raise ValueError("non-isolated vertex missing from both parts")
-        if clique_pair_fill(g, cert.s1, cert.s2) != fill:
+        if non_edges_within(g, cert.s1, cert.s2) != fill:
             raise ValueError("fill does not match the non-edges inside the parts")
     elif isinstance(cert, PointPlacement):
         from .caterpillar import materialize_fill_edges

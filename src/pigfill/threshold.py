@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClassMembershipError, GraphInputError
-from .graph import Graph, clique_pair_fill, complement, induced_subgraph, non_edges_within
+from .graph import Graph, complement, induced_subgraph, non_edges_within
 from .oracle import WITNESS_CAP, brute_max_cut, forbidden_subgraph_scan
 from .recognition import (
     DOMINATING,
@@ -122,7 +122,7 @@ def threshold_pig_completion(
     cert = CliqueBipartition(s1, s2)
     if cost_only:
         return CompletionResult(None, run.cost, cert, "threshold")
-    fill = clique_pair_fill(g, s1, s2)
+    fill = non_edges_within(g, s1, s2)
     if len(fill) != run.cost:
         raise AssertionError("incremental cost disagrees with materialized fill")
     return CompletionResult(fill, run.cost, cert, "threshold", order=_clique_pair_order(g, s1, s2, run.stripped))
@@ -133,7 +133,7 @@ def partition_cost(g: Graph, parts: tuple[tuple[int, ...], tuple[int, ...]]) -> 
     a, b = parts
     if set(a) & set(b) or len(a) + len(b) != g.n or set(a) | set(b) != set(range(g.n)):
         raise GraphInputError("parts do not partition the vertex set")
-    return len(non_edges_within(g, a)) + len(non_edges_within(g, b))
+    return len(non_edges_within(g, a, b))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from pigfill import (
     threshold_creation_sequence,
 )
 from pigfill.cli import _build_parser, _dumps, main
+from pigfill.graphio import MAX_VERTICES
 
 CLAW = "4\n0 1\n0 2\n0 3\n"
 P4 = "4\n0 1\n1 2\n2 3\n"
@@ -275,6 +276,36 @@ class TestGenCommand:
         first = capsys.readouterr().out
         assert main(["gen", "quasi-threshold", "--n", "9", "--seed", "5"]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "threshold", "--n", "2001"],
+            ["gen", "threshold", "--n", "100000"],
+            ["gen", "split", "--n", "2001"],
+            ["gen", "quasi-threshold", "--n", str(MAX_VERTICES + 1)],
+            ["gen", "caterpillar", "--spine-len", str(MAX_VERTICES), "--max-leaves", "2"],
+        ],
+    )
+    def test_gen_size_limit_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "above the limit" in captured.err
+
+    @pytest.mark.parametrize("n", [32, 100])
+    def test_gen_gadget_size_limit_exit_2(self, tmp_path, n):
+        base = tmp_path / "split.txt"
+        assert main(["gen", "split", "--n", str(n), "--seed", "1", "--out", str(base)]) == 0
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-m", "pigfill.cli", "gen", "gadget", "--input", str(base)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (out.returncode, out.stdout) == (2, ""), out.stderr
+        assert out.stderr.startswith("error: ") and "above the limit" in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 class TestVerify:

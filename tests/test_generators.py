@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
+from itertools import combinations
+
 import pytest
 
 from pigfill import (
@@ -23,6 +26,8 @@ from pigfill import (
     split_pig_reduction_gadget,
     threshold_creation_sequence,
 )
+from pigfill.generators import MAX_PAIRS, _check_size
+from pigfill.graphio import MAX_VERTICES
 
 
 class TestThresholdGen:
@@ -177,6 +182,22 @@ class TestGadget:
         assert idx == tuple(range(g.n))
         assert sub == g
 
+    def test_equals_the_definition_built_by_build_graph(self):
+        for n in range(1, 13):
+            for seed in range(4):
+                g, part = gen_split(n, seed)
+                gadget = split_pig_reduction_gadget(g)
+                total = 2 * n + 2 * n * n
+                big = tuple(sorted([*part.clique, *(n + c for c in part.clique), *range(2 * n, total)]))
+                copies = (part.independent, tuple(n + u for u in part.independent))
+                edges = list(combinations(big, 2))
+                for shift, copy in zip((0, n), copies):
+                    edges += [(u, w + shift) for u in copy for w in g.neighbors[u - shift]]
+                assert gadget.graph == build_graph(total, edges), (n, seed)
+                assert gadget.big_clique == big
+                assert gadget.independent_copies == copies
+                assert gadget.copy_maps == (tuple(range(n)), tuple(range(n, 2 * n)))
+
     def test_rejects_non_split(self, c4):
         with pytest.raises(ClassMembershipError):
             split_pig_reduction_gadget(c4)
@@ -194,3 +215,55 @@ class TestGadget:
             gen_caterpillar(0, 2)
         with pytest.raises(GraphInputError):
             gen_split(0)
+
+
+def _peak_bytes(call):
+    """Peak traced allocation while ``call`` raises GraphInputError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphInputError, match="above the limit"):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSizeLimits:
+    """Instances that would not fit are refused before anything is allocated for them."""
+
+    def test_pair_limit_boundaries(self):
+        _check_size(2000, dense=True)  # threshold and split, n = 2000
+        _check_size(2 * 31 + 2 * 31 * 31, dense=True)  # the gadget of a 31-vertex split graph
+        _check_size(MAX_VERTICES)
+        assert 2000 * 1999 // 2 <= MAX_PAIRS < 2001 * 2000 // 2
+        for n, dense in ((2001, True), (2 * 32 + 2 * 32 * 32, True), (MAX_VERTICES + 1, False)):
+            with pytest.raises(GraphInputError, match="above the limit"):
+                _check_size(n, dense)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: gen_threshold(2001),
+            lambda: gen_threshold(100_000),
+            lambda: gen_split(2001),
+            lambda: gen_split(100_000),
+            lambda: gen_quasi_threshold(MAX_VERTICES + 1),
+            lambda: gen_caterpillar(MAX_VERTICES // 3 + 1, 2),
+            lambda: gen_caterpillar(10**12, 10**12),
+        ],
+        ids=["threshold-2001", "threshold-1e5", "split-2001", "split-1e5", "qt", "caterpillar", "caterpillar-huge"],
+    )
+    def test_generator_refuses_before_allocating(self, call):
+        assert _peak_bytes(call) < 100_000
+
+    @pytest.mark.parametrize("n", [32, 100])
+    def test_gadget_refuses_before_allocating(self, n):
+        g, _ = gen_split(n, seed=1)
+        assert _peak_bytes(lambda: split_pig_reduction_gadget(g)) < 1_000_000
+
+    def test_gadget_checks_class_and_connectivity_first(self):
+        big_non_split = build_graph(40, [(i, i + 1) for i in range(39)] + [(0, 39)])  # C40
+        with pytest.raises(ClassMembershipError):
+            split_pig_reduction_gadget(big_non_split)
+        with pytest.raises(GraphInputError, match="connected split graph"):
+            split_pig_reduction_gadget(build_graph(40, [(0, 1)]))

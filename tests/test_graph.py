@@ -12,12 +12,9 @@ from pigfill import (
     GraphInputError,
     apply_fill,
     build_graph,
-    clique_pair_fill,
     complement,
     connected_components,
-    graph_from_masks,
     induced_subgraph,
-    iter_non_edges,
     non_edges_within,
     parse_graph,
     serialize_graph,
@@ -157,14 +154,22 @@ class TestNonEdgesWithin:
     def test_path(self):
         assert non_edges_within(build_graph(3, [(0, 1), (1, 2)]), {0, 1, 2}) == ((0, 2),)
 
+    def test_whole_vertex_set_is_the_lexicographic_non_edge_list(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            n = rng.randrange(0, 25)
+            g = build_graph(n, [p for p in combinations(range(n), 2) if rng.random() < rng.random()])
+            plain = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.masks[u] >> v & 1]
+            assert non_edges_within(g, range(n)) == tuple(plain)
+
 
 class TestCliquePairFill:
-    """clique_pair_fill against the sorted merge of its two sides' non-edges;
-    sides that share a vertex are refused."""
+    """non_edges_within of two sides against the sorted merge of their
+    non-edges; sides that share a vertex are refused."""
 
     @staticmethod
     def _merged(g, s1, s2):
-        return tuple(sorted(non_edges_within(g, s1) + non_edges_within(g, s2)))
+        return tuple(sorted(p for s in (s1, s2) for p in combinations(sorted(set(s)), 2) if not g.has_edge(*p)))
 
     def test_random_sides(self):
         rng = random.Random(16)
@@ -183,20 +188,20 @@ class TestCliquePairFill:
                 overlapping += 1
                 for a, b in ((s1, s2), (s2, s1)):
                     with pytest.raises(GraphInputError, match="on both sides"):
-                        clique_pair_fill(g, a, b)
+                        non_edges_within(g, a, b)
             else:
                 disjoint += 1
-                assert clique_pair_fill(g, s1, s2) == self._merged(g, s1, s2)
-                assert clique_pair_fill(g, s2, s1) == self._merged(g, s1, s2)
+                assert non_edges_within(g, s1, s2) == self._merged(g, s1, s2)
+                assert non_edges_within(g, s2, s1) == self._merged(g, s1, s2)
         assert disjoint > 500 and overlapping > 400
 
     def test_repeated_side_entries_collapse(self, claw):
-        assert clique_pair_fill(claw, [3, 1, 3], [0, 0]) == ((1, 3),)
+        assert non_edges_within(claw, [3, 1, 3], [0, 0]) == ((1, 3),)
 
     @pytest.mark.parametrize("s1, s2", [([0, 4], [1]), ([0], [1, -1]), ([9], [])])
     def test_out_of_range_vertex(self, claw, s1, s2):
         with pytest.raises(GraphInputError):
-            clique_pair_fill(claw, s1, s2)
+            non_edges_within(claw, s1, s2)
 
 
 class TestPairPartitionIdentity:
@@ -212,12 +217,6 @@ class TestPairPartitionIdentity:
 
 
 class TestMasksAndFill:
-    def test_from_masks_rejects_asymmetry(self):
-        with pytest.raises(GraphInputError):
-            graph_from_masks([0b010, 0b000, 0b000])
-        with pytest.raises(GraphInputError):
-            graph_from_masks([0b110, 0b001, 0b000])
-
     def test_rows_built_on_first_read(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         assert "masks" not in g.__dict__
@@ -226,22 +225,15 @@ class TestMasksAndFill:
         assert g.masks == (0b0010, 0b0001, 0b1000, 0b0100)
         assert "masks" in g.__dict__
 
-    def test_from_masks_caches_given_rows(self):
-        rows = [0b110, 0b001, 0b001]
-        g = graph_from_masks(rows)
-        assert g.__dict__["masks"] == tuple(rows)
-        assert g.neighbors == ((1, 2), (0,), (0,))
-
     @given(graphs())
     def test_equality_and_hash_ignore_built_rows(self, g):
         lazy = build_graph(g.n, g.edges())
         built = build_graph(g.n, g.edges())
         built.masks
-        from_rows = graph_from_masks(list(built.masks))
         assert "masks" not in lazy.__dict__
-        assert lazy == built == from_rows
-        assert hash(lazy) == hash(built) == hash(from_rows)
-        assert len({lazy, built, from_rows}) == 1
+        assert lazy == built
+        assert hash(lazy) == hash(built)
+        assert len({lazy, built}) == 1
 
     @given(graphs())
     def test_has_edge_matches_rows(self, g):
@@ -254,7 +246,7 @@ class TestMasksAndFill:
         assert h.has_edge(0, 3) and h.m == p4.m + 1
 
     def test_non_edges_lexicographic(self, claw):
-        assert list(iter_non_edges(claw)) == [(1, 2), (1, 3), (2, 3)]
+        assert non_edges_within(claw, range(4)) == ((1, 2), (1, 3), (2, 3))
 
 
 def _apply_fill_on_masks(g, fill):
@@ -263,7 +255,7 @@ def _apply_fill_on_masks(g, fill):
     for u, v in fill:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return graph_from_masks(masks)
+    return build_graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if masks[u] >> v & 1])
 
 
 class TestApplyFill:

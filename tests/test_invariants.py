@@ -94,8 +94,8 @@ def _run_optimized(script):
 @pytest.mark.parametrize(
     "module, helper, completer",
     [
-        ("threshold", "clique_pair_fill", "threshold_pig_completion"),
-        ("quasithreshold", "clique_pair_fill", "qt_cobipartite_completion"),
+        ("threshold", "non_edges_within", "threshold_pig_completion"),
+        ("quasithreshold", "non_edges_within", "qt_cobipartite_completion"),
         ("caterpillar", "materialize_fill_edges", "caterpillar_pig_completion"),
     ],
 )

@@ -19,7 +19,6 @@ from pigfill import (
     forbidden_subgraph_scan,
     forbidden_subgraph_scans,
     is_proper_interval,
-    iter_non_edges,
     non_edges_within,
 )
 from pigfill import xcheck
@@ -34,7 +33,7 @@ from test_graph import graphs
 def _plain_min_pig(g):
     """Reference for ``brute_min_pig``: every k-subset of non-edges in
     lexicographic order, with no pruning."""
-    non_edges = list(iter_non_edges(g))
+    non_edges = non_edges_within(g, range(g.n))
     base = list(g.masks)
     for k in range(len(non_edges) + 1):
         for combo in combinations(non_edges, k):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,7 @@ from pigfill import (
     validate_completion,
 )
 from pigfill.quasithreshold import _backtrack
+from pigfill.recognition import qt_forest_postorder
 
 
 class TestDpTables:
@@ -151,6 +153,22 @@ class TestCompletion:
     def test_cyclic_parents_rejected(self):
         with pytest.raises(GraphInputError):
             forest_from_parents([1, 0])
+
+    def test_children_and_roots_ascend_and_postorder_puts_children_first(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            n = rng.randrange(0, 40)
+            order = rng.sample(range(n), n)  # parents come earlier in this order, not by id
+            parents = [None] * n
+            for i, v in enumerate(order):
+                r = rng.randrange(i + 1)
+                parents[v] = None if r == i else order[r]
+            forest = forest_from_parents(parents)
+            assert forest.roots == tuple(v for v in range(n) if parents[v] is None)
+            assert forest.children == tuple(tuple(v for v in range(n) if parents[v] == p) for p in range(n))
+            post = qt_forest_postorder(forest)
+            assert sorted(post) == list(range(n))
+            assert all(post.index(c) < post.index(v) for v in range(n) for c in forest.children[v])
 
     def test_exactness_small_forests(self):
         from pigfill import enumerate_rooted_forests, qt_forest_graph
