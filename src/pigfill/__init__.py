@@ -61,14 +61,7 @@ from .recognition import (
     threshold_creation_sequence,
 )
 from .results import CliqueBipartition, CompletionResult, PointPlacement, validate_completion
-from .threshold import (
-    MaxcutIdentityReport,
-    ThresholdRun,
-    maxcut_identity_check,
-    partition_cost,
-    threshold_pig_completion,
-    threshold_run,
-)
+from .threshold import ThresholdRun, threshold_pig_completion, threshold_run
 
 __version__ = "0.1.0"
 

@@ -9,7 +9,9 @@ runs.  Rooted forests come from the level sequences of Beyer and Hedetniemi
 An instance that could not be parsed back (more than ``graphio.MAX_VERTICES``
 vertices) or, for the dense threshold, split and gadget families, one with
 more than ``MAX_PAIRS`` vertex pairs is refused with GraphInputError before
-anything is drawn or allocated for it.
+anything is drawn or allocated for it.  A quasi-threshold forest with more
+than ``MAX_PAIRS`` edges is refused after its parents are drawn, before any
+graph row is built.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from .recognition import (
     split_partition,
 )
 
-MAX_PAIRS = 2 * 10**6  # threshold n = 2000 (989 723 edges) peaks near 280 MB, the 31-vertex gadget near 305 MB
+# gen threshold --n 2000 (989 723 edges) peaks near 230 MB, the 31-vertex gadget near 90 MB,
+# and a quasi-threshold forest of 2·10^6 edges near 480 MB
+MAX_PAIRS = 2 * 10**6
 
 
 def _check_size(n: int, dense: bool = False) -> None:
@@ -88,15 +92,25 @@ def enumerate_threshold(n: int) -> Iterator[tuple[Graph, CreationSequence]]:
 
 def gen_quasi_threshold(n: int, seed: int = 0) -> tuple[Graph, QtForest]:
     """Uniform random parent array (each vertex picks a root slot or any
-    smaller-id parent); edges are the strict ancestor pairs."""
+    smaller-id parent); edges are the strict ancestor pairs.
+
+    A vertex has as many strict ancestors as its depth, and a parent's depth
+    is known when its child is drawn, so a forest with more than ``MAX_PAIRS``
+    edges is refused before any graph row is built.
+    """
     if n < 1:
         raise GraphInputError("n must be at least 1")
     _check_size(n)
     rng = random.Random(seed)
     parents: list[int | None] = [None]
+    depth = [0]
     for v in range(1, n):
         r = rng.randrange(v + 1)
         parents.append(None if r == v else r)
+        depth.append(0 if r == v else depth[r] + 1)
+    m = sum(depth)
+    if m > MAX_PAIRS:
+        raise GraphInputError(f"the forest drawn has {m} edges, above the limit of {MAX_PAIRS} vertex pairs")
     forest = forest_from_parents(parents)
     return qt_forest_graph(forest), forest
 

@@ -25,6 +25,8 @@ from .errors import GraphInputError
 
 Edge = tuple[int, int]
 
+_TEXT_CHUNK = 1 << 14  # pairs per chunk of ``Graph.text``: few joins, and a chunk's tuples stay small beside the text
+
 
 def edge(u: int, v: int) -> Edge:
     """Canonical (min, max) form of an edge."""
@@ -65,8 +67,13 @@ class Graph:
 
         Cached like ``masks``.  A graph read from text already in this form
         keeps that text, so writing or hashing it costs no serialization.
+        The pairs are formatted ``_TEXT_CHUNK`` at a time and no list of all
+        edges is built, so the peak is about twice the text's length.
         """
-        return f"{self.n}\n" + "".join(map("%d %d\n".__mod__, self.edges()))
+        neighbors = self.neighbors
+        pairs = ((u, v) for u in range(self.n) for v in neighbors[u] if u < v)
+        chunks = iter(lambda: tuple(islice(pairs, _TEXT_CHUNK)), ())
+        return "".join([f"{self.n}\n", *("".join(map("%d %d\n".__mod__, chunk)) for chunk in chunks)])
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClassMembershipError, GraphInputError
-from .graph import Graph, complement, induced_subgraph, non_edges_within
-from .oracle import WITNESS_CAP, brute_max_cut, forbidden_subgraph_scan
+from .graph import Graph, non_edges_within
+from .oracle import WITNESS_CAP, forbidden_subgraph_scan
 from .recognition import (
     DOMINATING,
     ISOLATED,
@@ -126,46 +126,3 @@ def threshold_pig_completion(
     if len(fill) != run.cost:
         raise AssertionError("incremental cost disagrees with materialized fill")
     return CompletionResult(fill, run.cost, cert, "threshold", order=_clique_pair_order(g, s1, s2, run.stripped))
-
-
-def partition_cost(g: Graph, parts: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
-    """Non-edges inside the two parts of a bipartition of V."""
-    a, b = parts
-    if set(a) & set(b) or len(a) + len(b) != g.n or set(a) | set(b) != set(range(g.n)):
-        raise GraphInputError("parts do not partition the vertex set")
-    return len(non_edges_within(g, a, b))
-
-
-@dataclass(frozen=True)
-class MaxcutIdentityReport:
-    """Cross-check of fill minimization against max-cut in the complement.
-
-    Computed on the vertices that are not isolated in the input (the only ones
-    the completion touches): min_fill must equal pairs - edges - max cut of the
-    complement of that induced subgraph.
-    """
-
-    min_fill: int
-    max_cut_complement: int
-    pairs: int
-    edges: int
-    component_size: int
-    identity_holds: bool
-
-
-def maxcut_identity_check(g: Graph, max_n: int | None = None) -> MaxcutIdentityReport:
-    """The identity on g; ``max_n`` is the max-cut oracle's budget, None for its default."""
-    run = threshold_run(g)
-    active = sorted(v for v in range(g.n) if g.degree(v) > 0)
-    sub, _ = induced_subgraph(g, active)
-    comp = complement(sub)
-    cut, _ = brute_max_cut(comp) if max_n is None else brute_max_cut(comp, max_n)
-    pairs = sub.n * (sub.n - 1) // 2
-    return MaxcutIdentityReport(
-        min_fill=run.cost,
-        max_cut_complement=cut,
-        pairs=pairs,
-        edges=sub.m,
-        component_size=sub.n,
-        identity_holds=run.cost == pairs - sub.m - cut,
-    )

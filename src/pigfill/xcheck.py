@@ -2,7 +2,8 @@
 
 The CLI ``xcheck`` subcommand and the acceptance tests both run these; the
 functions return rows of (name, instances, failures) so callers can render
-them however they like.
+them however they like.  The checks that only these rows need, the partition
+cost and the threshold max-cut identity, live here and not beside the solvers.
 
 The exhaustive recognition sweep cuts its enumeration into chunks and runs
 them in forked worker processes, one per usable CPU (in process when there is
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .caterpillar import build_placement_tables, caterpillar_pig_completion
-from .errors import OracleBudgetError
-from .graph import Graph, apply_fill, connected_components
+from .errors import GraphInputError, OracleBudgetError
+from .graph import Graph, apply_fill, complement, connected_components, induced_subgraph, non_edges_within
 from .generators import (
     caterpillar_from_buckets,
     enumerate_rooted_forests,
@@ -29,6 +30,7 @@ from .generators import (
     gen_threshold,
 )
 from .oracle import (
+    brute_max_cut,
     brute_min_cobipartite,
     brute_min_pig,
     forbidden_subgraph_scans,
@@ -46,7 +48,7 @@ from .recognition import (
     threshold_creation_sequence,
 )
 from .results import validate_completion
-from .threshold import maxcut_identity_check, partition_cost, threshold_pig_completion
+from .threshold import threshold_pig_completion, threshold_run
 
 
 _MAX_NOTES = 10  # a row keeps the notes of its first failures only
@@ -95,9 +97,52 @@ def _valid_pig_completion(g: Graph, res) -> bool:
 # threshold
 
 
-def xcheck_threshold(
-    max_n: int = 7, random_trials: int = 0, random_max_n: int = 16, seed: int = 0
-) -> list[CheckRow]:
+def partition_cost(g: Graph, parts: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+    """Non-edges inside the two parts of a bipartition of V."""
+    a, b = parts
+    if set(a) & set(b) or len(a) + len(b) != g.n or set(a) | set(b) != set(range(g.n)):
+        raise GraphInputError("parts do not partition the vertex set")
+    return len(non_edges_within(g, a, b))
+
+
+@dataclass(frozen=True)
+class MaxcutIdentityReport:
+    """Cross-check of fill minimization against max-cut in the complement.
+
+    Computed on the vertices that are not isolated in the input (the only ones
+    the completion touches): min_fill must equal pairs - edges - max cut of the
+    complement of that induced subgraph.
+    """
+
+    min_fill: int
+    max_cut_complement: int
+    pairs: int
+    edges: int
+    component_size: int
+    identity_holds: bool
+
+
+def maxcut_identity_check(g: Graph) -> MaxcutIdentityReport:
+    """The identity on g, with the max-cut oracle at its default budget."""
+    run = threshold_run(g)
+    active = sorted(v for v in range(g.n) if g.degree(v) > 0)
+    sub, _ = induced_subgraph(g, active)
+    cut, _ = brute_max_cut(complement(sub))
+    pairs = sub.n * (sub.n - 1) // 2
+    return MaxcutIdentityReport(
+        min_fill=run.cost,
+        max_cut_complement=cut,
+        pairs=pairs,
+        edges=sub.m,
+        component_size=sub.n,
+        identity_holds=run.cost == pairs - sub.m - cut,
+    )
+
+
+_THRESHOLD_RANDOM_MAX_N = 16  # the largest random instance of the duality row
+
+
+def xcheck_threshold(max_n: int = 7, random_trials: int = 0, seed: int = 0) -> list[CheckRow]:
     optimality = CheckRow("threshold greedy cost == exhaustive PIG optimum")
     validity = CheckRow("threshold completion is valid and proper interval")
     equivalence = CheckRow("PIG optimum == co-bipartite optimum (connected)")
@@ -121,7 +166,7 @@ def xcheck_threshold(
         rnd = CheckRow("max-cut duality on random connected instances")
         rng = random.Random(seed)
         for _ in range(random_trials):
-            n = rng.randint(2, random_max_n)
+            n = rng.randint(2, _THRESHOLD_RANDOM_MAX_N)
             g, _ = gen_threshold(n, rng.uniform(0.2, 0.8), rng.randrange(2**32))
             rnd.count(maxcut_identity_check(g).identity_holds, f"n={n}")
         rows.append(rnd)
@@ -132,13 +177,11 @@ def xcheck_threshold(
 # quasi-threshold
 
 
-def xcheck_quasithreshold(
-    max_n: int = 8,
-    lower_bound_max_n: int = 7,
-    random_trials: int = 0,
-    random_max_n: int = 12,
-    seed: int = 0,
-) -> list[CheckRow]:
+_QT_LOWER_BOUND_MAX_N = 7  # the largest tree the lower-bound row gives the PIG oracle
+_QT_RANDOM_MAX_N = 12  # the largest random forest
+
+
+def xcheck_quasithreshold(max_n: int = 8, random_trials: int = 0, seed: int = 0) -> list[CheckRow]:
     exactness = CheckRow("qt DP cost == exhaustive co-bipartite optimum")
     symmetry = CheckRow("qt DP rows are palindromes (side swap)")
     certificate = CheckRow("qt certificate sizes and cost match")
@@ -165,8 +208,8 @@ def xcheck_quasithreshold(
                 and partition_cost(g, (cert.s1, cert.s2)) == res.cost,
                 f"n={n}",
             )
-            if n <= lower_bound_max_n and len(forest.roots) == 1:
-                pig_cost, _ = brute_min_pig(g, lower_bound_max_n)
+            if n <= _QT_LOWER_BOUND_MAX_N and len(forest.roots) == 1:
+                pig_cost, _ = brute_min_pig(g, _QT_LOWER_BOUND_MAX_N)
                 lower.count(res.cost <= pig_cost, f"n={n} {res.cost}>{pig_cost}")
                 if res.cost < pig_cost:
                     lower.notes.append(f"strict gap at n={n}: cobip {res.cost} < pig {pig_cost}")
@@ -175,7 +218,7 @@ def xcheck_quasithreshold(
         rnd = CheckRow("qt DP == co-bipartite optimum on random forests")
         rng = random.Random(seed)
         for _ in range(random_trials):
-            n = rng.randint(1, random_max_n)
+            n = rng.randint(1, _QT_RANDOM_MAX_N)
             g, forest = gen_quasi_threshold(n, rng.randrange(2**32))
             cost = min(build_dp_tables(forest).root_row)
             oracle_cost, _ = brute_min_cobipartite(g)
@@ -206,9 +249,10 @@ def _canonical_caterpillar_key(g: Graph) -> tuple[int, ...]:
     return min(sizes, sizes[::-1])
 
 
-def xcheck_caterpillar(
-    max_n: int = 8, random_trials: int = 0, random_max_n: int = 10, seed: int = 0
-) -> list[CheckRow]:
+_CATERPILLAR_RANDOM_MAX_N = 10  # random caterpillars with more vertices are drawn again
+
+
+def xcheck_caterpillar(max_n: int = 8, random_trials: int = 0, seed: int = 0) -> list[CheckRow]:
     exactness = CheckRow("caterpillar DP cost == exhaustive PIG optimum")
     validity = CheckRow("caterpillar fill is valid and proper interval")
     reversal = CheckRow("caterpillar DP is reversal invariant")
@@ -240,9 +284,9 @@ def xcheck_caterpillar(
         while done < random_trials:
             spine_len = rng.randint(2, 5)
             g, d = gen_caterpillar(spine_len, 2, rng.randrange(2**32))
-            if g.n > random_max_n:
+            if g.n > _CATERPILLAR_RANDOM_MAX_N:
                 continue
-            check_instance(g, d, random_max_n)
+            check_instance(g, d, _CATERPILLAR_RANDOM_MAX_N)
             done += 1
     return rows
 

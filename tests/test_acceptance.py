@@ -45,21 +45,18 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def threshold_rows():
     start = time.perf_counter()
-    rows = xcheck_threshold(max_n=7, random_trials=100, random_max_n=16, seed=SEED)
+    rows = xcheck_threshold(max_n=7, random_trials=100, seed=SEED)
     return rows, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def qt_rows():
-    rows = xcheck_quasithreshold(
-        max_n=8, lower_bound_max_n=7, random_trials=200, random_max_n=12, seed=SEED
-    )
-    return rows
+    return xcheck_quasithreshold(max_n=8, random_trials=200, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def caterpillar_rows():
-    return xcheck_caterpillar(max_n=8, random_trials=100, random_max_n=10, seed=SEED)
+    return xcheck_caterpillar(max_n=8, random_trials=100, seed=SEED)
 
 
 def test_criterion_1_threshold_optimality(threshold_rows):

@@ -284,6 +284,7 @@ class TestGenCommand:
             ["gen", "threshold", "--n", "100000"],
             ["gen", "split", "--n", "2001"],
             ["gen", "quasi-threshold", "--n", str(MAX_VERTICES + 1)],
+            ["gen", "quasi-threshold", "--n", "300000"],
             ["gen", "caterpillar", "--spine-len", str(MAX_VERTICES), "--max-leaves", "2"],
         ],
     )

@@ -256,6 +256,18 @@ class TestSizeLimits:
     def test_generator_refuses_before_allocating(self, call):
         assert _peak_bytes(call) < 100_000
 
+    def test_qt_edge_limit_refuses_before_building_rows(self):
+        # 3 057 427 edges at seed 1: its rows would hold at least 2 * 8 bytes per edge, 49 MB;
+        # what the refusal keeps is the parent and depth arrays
+        assert _peak_bytes(lambda: gen_quasi_threshold(300_000, 1)) < 25_000_000
+
+    def test_qt_edge_limit_boundary(self):
+        # at seed 1 the depths of the first 204 024 vertices sum to 1 999 996; the next adds 9
+        g, _ = gen_quasi_threshold(204_024, 1)
+        assert g.m == 1_999_996
+        with pytest.raises(GraphInputError, match="2000005 edges, above the limit"):
+            gen_quasi_threshold(204_025, 1)
+
     @pytest.mark.parametrize("n", [32, 100])
     def test_gadget_refuses_before_allocating(self, n):
         g, _ = gen_split(n, seed=1)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pigfill import (
+    Graph,
     GraphInputError,
     apply_fill,
     build_graph,
@@ -19,7 +21,7 @@ from pigfill import (
     parse_graph,
     serialize_graph,
 )
-from pigfill import graphio
+from pigfill import graph as graph_module, graphio
 from pigfill.cli import _digest
 from pigfill.graphio import MAX_VERTICES
 
@@ -283,6 +285,53 @@ class TestApplyFill:
     def test_bad_pairs_raise(self, p4, pair):
         with pytest.raises(GraphInputError, match="bad fill edge"):
             apply_fill(p4, [(0, 2), pair])
+
+
+def _edge_list_text(g: Graph) -> str:
+    return f"{g.n}\n" + "".join("%d %d\n" % e for e in g.edges())
+
+
+def _complete_graph(n: int) -> Graph:
+    return Graph(n, tuple(tuple(w for w in range(n) if w != v) for v in range(n)))
+
+
+def _random_graph(n: int, p: float, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+class TestText:
+    """``Graph.text`` is formatted in chunks of pairs; it must equal one line per edge, ascending."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(0, ()),
+            build_graph(5, []),
+            build_graph(6, [(1, 4), (4, 5)]),
+            _complete_graph(200),  # 19 900 edges: more than one chunk
+            _random_graph(300, 0.9, 1),
+            *(_random_graph(n, 0.3, n) for n in (1, 2, 17, 120)),
+        ],
+        ids=["n0", "edgeless", "isolated", "K200", "dense300", "random1", "random2", "random17", "random120"],
+    )
+    def test_equals_edge_list(self, g):
+        assert Graph(g.n, g.neighbors).text == _edge_list_text(g)
+
+    @given(graphs(), st.integers(min_value=1, max_value=4))
+    def test_equals_edge_list_at_any_chunk_size(self, g, chunk):
+        with mock.patch.object(graph_module, "_TEXT_CHUNK", chunk):
+            assert Graph(g.n, g.neighbors).text == _edge_list_text(g)
+
+    def test_peak_is_below_three_texts(self):
+        g = _complete_graph(1001)  # 500 500 edges
+        tracemalloc.start()
+        try:
+            text = g.text
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == 500_500 and peak < 3 * len(text), (peak, len(text))
 
 
 class TestSerialization:

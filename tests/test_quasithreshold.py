@@ -15,7 +15,6 @@ from pigfill import (
     enumerate_rooted_forests,
     forest_from_parents,
     gen_quasi_threshold,
-    partition_cost,
     qt_cobipartite_completion,
     qt_forest_graph,
     quasi_threshold_forest,
@@ -23,6 +22,7 @@ from pigfill import (
 )
 from pigfill.quasithreshold import _backtrack
 from pigfill.recognition import qt_forest_postorder
+from pigfill.xcheck import partition_cost
 
 
 class TestDpTables:

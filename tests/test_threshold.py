@@ -14,14 +14,13 @@ from pigfill import (
     creation_sequence_matches,
     enumerate_threshold,
     is_proper_interval,
-    maxcut_identity_check,
-    partition_cost,
     replay_creation_sequence,
     threshold_pig_completion,
     threshold_run,
     validate_completion,
 )
 from pigfill.generators import gen_threshold
+from pigfill.xcheck import maxcut_identity_check, partition_cost
 
 
 class TestCompletionExamples:
