@@ -10,6 +10,14 @@ LexBFS umbrella order, is not shared.  The PIG oracle skips only branches
 that leave an induced claw or chordless C4 unfixed, which no answer can do;
 the other searches enumerate everything.  A ``max_n`` budget makes the
 exponential cost explicit: inputs over budget are refused, never truncated.
+
+The forbidden-subgraph scans name a witness.  The hereditary membership
+tables answer only whether one exists, for every graph on n vertices at
+once.  A graph is free of a family's minimal obstructions iff each of its
+one-vertex deletions is and the whole graph is not one.  So each entry comes
+from the table of size n - 1 and the scans' own tests on the whole vertex set.
+The exhaustive recognition sweep reads these tables, and the tests hold them
+equal to the scans.
 """
 
 from __future__ import annotations
@@ -390,3 +398,86 @@ WITNESS_CAP = 64  # the scans are quartic: recognizers skip them on larger rejec
 def forbidden_subgraph_scan(g: Graph, family: str) -> Witness | None:
     """First induced forbidden subgraph for one family; see ``forbidden_subgraph_scans``."""
     return forbidden_subgraph_scans(g, (family,))[family]
+
+
+# ---------------------------------------------------------------------------
+# hereditary membership tables
+
+
+# A membership entry holds one bit per family, set iff the graph has no
+# induced obstruction of it: iff ``forbidden_subgraph_scans`` finds no witness.
+_THRESHOLD, _QT, _SPLIT, _PIG = 1, 2, 4, 8
+_ALL = _THRESHOLD | _QT | _SPLIT | _PIG
+_FAMILY_BITS = {"threshold": _THRESHOLD, "quasi-threshold": _QT, "split": _SPLIT, "pig": _PIG}
+
+# graph k on 4 vertices (its code is its ``_CLASS4`` pattern) -> the families it is an obstruction of
+_QUAD_BITS = tuple(
+    sum(bit for fam, bit in _FAMILY_BITS.items() if cls in _QUAD_KINDS[fam]) for cls in map(_CLASS4.get, range(64))
+)
+
+
+def _whole_set_bits(pairs: list[Edge], n: int, k: int, open_bits: int) -> int:
+    """The families among ``open_bits`` of which graph k on n vertices is itself an obstruction.
+
+    Graph k has ``pairs[i]`` iff bit i of k is set.  Only the whole vertex
+    set is tested, with the scans' own tests: its 4-vertex class; a chordless
+    cycle, which at n = 5 is split's C5 as well; a net or tent at n = 6.  A
+    chordless n-cycle has n edges and a tent 9 (a net has 6), so other edge
+    counts skip the tests.
+    """
+    if n == 4:
+        return _QUAD_BITS[k] & open_bits
+    m = k.bit_count()
+    bits = open_bits & (_SPLIT | _PIG if n == 5 else _PIG)  # the open families with obstructions this large
+    if n < 5 or not bits or m != n and not (n == 6 and m == 9):
+        return 0
+    masks = [0] * n
+    while k:
+        low = k & -k
+        u, v = pairs[low.bit_length() - 1]
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+        k ^= low
+    everything = tuple(range(n))
+    if m == n and _induced_cycle(masks, everything) or n == 6 and _net_or_tent(masks, everything):
+        return bits
+    return 0
+
+
+def _members(n: int, start: int, count: int, below: bytes) -> bytes:
+    """Membership entries of graphs start, ..., start + count - 1 on n vertices.
+
+    Graph k has pair i of ``combinations(range(n), 2)`` iff bit i of k is
+    set.  ``below`` is the table of size n - 1, and count is a power of two
+    that divides start.  Every family's obstructions are minimal and closed
+    under relabelling, so g is free of them iff each g - v is and g is not
+    one itself.  g - v keeps the pairs that miss v in their order, so its
+    code packs those bits of k downwards.  Per v, the codes of the block's
+    deletions are built by doubling over the free low bits, looked up as one
+    byte string and ANDed with the others as one integer.
+    """
+    pairs = list(combinations(range(n), 2))
+    inherited = int.from_bytes(bytes([_ALL]) * count, "little")
+    for v in range(n):
+        kept = [i for i, pair in enumerate(pairs) if v not in pair]
+        rank = {i: j for j, i in enumerate(kept)}  # pair i of g is pair rank[i] of g - v
+        codes = [sum(1 << j for i, j in rank.items() if start >> i & 1)]
+        for i in range(count.bit_length() - 1):
+            if i in rank:
+                bit = 1 << rank[i]
+                codes += [c | bit for c in codes]
+            else:
+                codes += codes
+        inherited &= int.from_bytes(bytes(map(below.__getitem__, codes)), "little")
+    return bytes(
+        bits & ~_whole_set_bits(pairs, n, start + p, bits) if bits else 0
+        for p, bits in enumerate(inherited.to_bytes(count, "little"))
+    )
+
+
+def _member_tables(top: int) -> list[bytes]:
+    """Membership tables of every size below ``top``: entry k of table n is graph k's."""
+    tables = [bytes([_ALL])]  # the graph on no vertices
+    for n in range(1, top):
+        tables.append(_members(n, 0, 1 << n * (n - 1) // 2, tables[n - 1]))
+    return tables

@@ -9,6 +9,12 @@ The exhaustive recognition sweep cuts its enumeration into chunks and runs
 them in forked worker processes, one per usable CPU (in process when there is
 one CPU or no ``fork``).  Rows merge in enumeration order: counts add and the
 first ten notes are kept, so the rows are the same on any number of CPUs.
+Its reference answers come from the oracle's hereditary membership tables,
+not from a subset scan per graph.  Each call builds the tables of the sizes
+below the top one before it forks.  Each top-size chunk builds its own
+entries from the table below.  The word "scan" in the row names means the
+tables' answer, which the tests hold equal to
+``oracle.forbidden_subgraph_scans``.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from .caterpillar import build_placement_tables, caterpillar_pig_completion
@@ -30,10 +37,15 @@ from .generators import (
     gen_threshold,
 )
 from .oracle import (
+    _PIG,
+    _QT,
+    _SPLIT,
+    _THRESHOLD,
+    _member_tables,
+    _members,
     brute_max_cut,
     brute_min_cobipartite,
     brute_min_pig,
-    forbidden_subgraph_scans,
 )
 from .quasithreshold import build_dp_tables, qt_cobipartite_completion
 from .recognition import (
@@ -320,8 +332,22 @@ def _sweep_chunks(n: int) -> list[tuple[int, tuple[int, ...]]]:
     return [(n, fixed) for fixed in product(*(range(1 << i) for i in range(k)))]
 
 
+def _chunk_start(chunk: tuple[int, tuple[int, ...]]) -> int:
+    """The code of a chunk's first graph: its fixed run values at their rows' bits.
+
+    Row u's pairs to later vertices take bits u(2n - u - 1)/2 on, and the
+    product's i-th run is row n - 1 - i's.
+    """
+    n, fixed = chunk
+    return sum(r << (u * (2 * n - u - 1) // 2) for u, r in zip(range(n - 1, -1, -1), fixed))
+
+
 def _chunk_graphs(chunk: tuple[int, tuple[int, ...]]):
-    """The graphs of one chunk of ``_all_graphs``, in its order."""
+    """The graphs of one chunk of ``_all_graphs``, in its order.
+
+    The graph at position p has code ``_chunk_start(chunk) + p``; its cached
+    ``masks`` are its rows and its cached ``m`` is the code's popcount.
+    """
     n, fixed = chunk
     runs = []
     for u in reversed(range(n)):
@@ -336,10 +362,11 @@ def _chunk_graphs(chunk: tuple[int, tuple[int, ...]]):
     neighbors_of = [tuple(v for v in range(n) if row >> v & 1) for row in range(1 << n)]
     # the fixed runs' rows, summed once for the chunk
     head = tuple(map(sum, zip([0] * n, *(run[r] for run, r in zip(runs, fixed)))))
-    for parts in product(*runs[len(fixed) :]):
+    for code, parts in enumerate(product(*runs[len(fixed) :]), _chunk_start(chunk)):
         masks = tuple(map(sum, zip(head, *parts)))
         g = Graph(n, tuple(map(neighbors_of.__getitem__, masks)))
         g.__dict__["masks"] = masks
+        g.__dict__["m"] = code.bit_count()
         yield g
 
 
@@ -402,23 +429,31 @@ _RECOGNITION_ROWS = (
 )
 
 
-def _recognition_rows(chunk: tuple[int, tuple[int, ...]]) -> list[CheckRow]:
-    """The recognition sweep's rows over one chunk of ``_all_graphs``."""
-    n = chunk[0]
+def _recognition_rows(chunk: tuple[int, tuple[int, ...]], tables: list[bytes]) -> list[CheckRow]:
+    """The recognition sweep's rows over one chunk of ``_all_graphs``.
+
+    Below the top size the chunk's membership entries are a slice of its
+    size's table; at the top size they are built from the table below it.
+    """
+    n, fixed = chunk
+    start, count = _chunk_start(chunk), _chunk_size(n, len(fixed))
+    if n < len(tables):
+        entries = tables[n][start : start + count]
+    else:
+        entries = _members(n, start, count, tables[n - 1])
     rows = [CheckRow(name) for name in _RECOGNITION_ROWS]
     thr, thr_replay, qt, qt_rebuild, pig, split, cater, cater_rebuild = rows
-    for g in _chunk_graphs(chunk):
-        scan = forbidden_subgraph_scans(g)
+    for g, bits in zip(_chunk_graphs(chunk), entries):
         seq = threshold_creation_sequence(g)
-        thr.count((seq is not None) == (scan["threshold"] is None))
+        thr.count((seq is not None) == bool(bits & _THRESHOLD))
         if seq is not None:
             thr_replay.count(replay_creation_sequence(seq) == g)
         forest = quasi_threshold_forest(g)
-        qt.count((forest is not None) == (scan["quasi-threshold"] is None))
+        qt.count((forest is not None) == bool(bits & _QT))
         if forest is not None:
             qt_rebuild.count(qt_forest_graph(forest) == g)
-        pig.count(is_proper_interval(g).is_pig == (scan["pig"] is None))
-        split.count((split_partition(g) is not None) == (scan["split"] is None))
+        pig.count(is_proper_interval(g).is_pig == bool(bits & _PIG))
+        split.count((split_partition(g) is not None) == bool(bits & _SPLIT))
         d = caterpillar_decomposition(g)
         is_tree = g.m == g.n - 1 and len(connected_components(g)) == 1
         cater.count((d is not None) == (is_tree and _has_dominating_path(g)), f"n={n}")
@@ -434,8 +469,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_chunks(chunks: list[tuple[int, tuple[int, ...]]]) -> list[list[CheckRow]]:
+def _map_chunks(chunks: list[tuple[int, tuple[int, ...]]], tables: list[bytes]) -> list[list[CheckRow]]:
     """``_recognition_rows`` of every chunk, in chunk order, one process per usable CPU."""
+    rows_of = partial(_recognition_rows, tables=tables)
     processes = min(_usable_cpus(), len(chunks))
     if processes > 1:
         import multiprocessing
@@ -446,15 +482,15 @@ def _map_chunks(chunks: list[tuple[int, tuple[int, ...]]]) -> list[list[CheckRow
             # before it starts its own threads, so no fork sees a thread.
             with multiprocessing.get_context("fork").Pool(processes) as pool:
                 # one chunk per task, so the workers finish within a chunk of each other
-                parts = pool.map(_recognition_rows, chunks, chunksize=1)
+                parts = pool.map(rows_of, chunks, chunksize=1)
                 pool.close()
                 pool.join()
             return parts
-    return list(map(_recognition_rows, chunks))
+    return list(map(rows_of, chunks))
 
 
 def xcheck_recognition(max_n: int = 6) -> list[CheckRow]:
-    """Recognizers against forbidden-subgraph scans on every graph with n <= max_n.
+    """Recognizers against forbidden-subgraph membership on every graph with n <= max_n.
 
     The graphs are split into chunks that run on every usable CPU; the rows
     are the chunks' rows merged in enumeration order, so they equal a single
@@ -462,7 +498,8 @@ def xcheck_recognition(max_n: int = 6) -> list[CheckRow]:
     """
     _require_sweep_n(max_n)
     rows = [CheckRow(name) for name in _RECOGNITION_ROWS]
-    for part in _map_chunks([c for n in range(1, max_n + 1) for c in _sweep_chunks(n)]):
+    chunks = [c for n in range(1, max_n + 1) for c in _sweep_chunks(n)]
+    for part in _map_chunks(chunks, _member_tables(max_n)):
         for row, more in zip(rows, part):
             row.add(more)
     return rows

@@ -21,7 +21,7 @@ from pigfill import (
     is_proper_interval,
     non_edges_within,
 )
-from pigfill import xcheck
+from pigfill import oracle, xcheck
 from pigfill.graph import strictly_ascending
 from pigfill.oracle import _CLASS4, _PAIRS4, FAMILIES, _claw_or_c4, _induced_cycle, _net_or_tent
 from pigfill.recognition import pig_mask_check
@@ -334,6 +334,7 @@ class TestExhaustiveSweep:
             got = list(_sweep_graphs(n))
             assert got == want, n
             assert [g.__dict__["masks"] for g in got] == [g.masks for g in want], n
+            assert [g.__dict__["m"] for g in got] == [len(g.edges()) for g in want], n
             # the sweep's chunks are consecutive blocks of the same enumeration
             chunks = _sweep_chunks(n)
             parts = [list(_chunk_graphs(chunk)) for chunk in chunks]
@@ -368,6 +369,42 @@ class TestExhaustiveSweep:
                 yield build_graph(n, [e for e in pairs if rng.random() < p])
 
         self._assert_scans_match_plain(sample(), one_family=True)
+
+
+def _scan_bits(g):
+    """The membership entry ``forbidden_subgraph_scans`` implies for g."""
+    scan = forbidden_subgraph_scans(g)
+    return sum(bit for fam, bit in oracle._FAMILY_BITS.items() if scan[fam] is None)
+
+
+class TestMembershipTables:
+    """The recognition sweep's hereditary membership tables against the scans."""
+
+    def test_every_graph_to_6(self):
+        tables = oracle._member_tables(7)
+        assert [len(t) for t in tables] == [1 << n * (n - 1) // 2 for n in range(7)]
+        for n in range(1, 7):
+            assert list(tables[n]) == [_scan_bits(g) for g in _sweep_graphs(n)], n
+
+    def test_chunk_blocks_equal_the_table(self):
+        # the sweep builds the top size block by block from the size below
+        tables = oracle._member_tables(7)
+        chunks = _sweep_chunks(6)
+        assert len(chunks) > 1
+        blocks = [oracle._members(6, xcheck._chunk_start(c), _chunk_size(6, len(c[1])), tables[5]) for c in chunks]
+        assert b"".join(blocks) == tables[6]
+
+    def test_sampled_n7(self):
+        # drawn as in test_scans_match_plain_scans_sampled
+        n = 7
+        rng = random.Random(n)
+        pairs = list(combinations(range(n), 2))
+        below = oracle._member_tables(n)[n - 1]
+        for _ in range(3000):
+            p = rng.random()
+            code = sum(1 << i for i in range(len(pairs)) if rng.random() < p)
+            g = build_graph(n, [e for i, e in enumerate(pairs) if code >> i & 1])
+            assert oracle._members(n, code, 1, below) == bytes([_scan_bits(g)]), code
 
 
 def _caterpillar_failing_on_edge_0_last(real, calls_here):
@@ -425,6 +462,27 @@ class TestParallelSweep:
         assert cater.failures == 16 * 2 // 4 + 125 * 2 // 5 + 1296 * 2 // 6
         assert cater.notes == ["n=4"] * 8 + ["n=5"] * 2  # the first ten, in enumeration order
         assert cater_rebuild.instances == 1442 - cater.failures
+
+
+class TestRecognitionSweep:
+    _COUNTS = [33867, 3263, 33867, 4606, 33867, 33867, 33867, 1442]
+
+    def test_rows_to_6(self):
+        rows = xcheck.xcheck_recognition(max_n=6)
+        assert [row.name for row in rows] == list(xcheck._RECOGNITION_ROWS)
+        assert [row.instances for row in rows] == self._COUNTS
+        assert all(row.line().startswith("pass") for row in rows)
+
+    def test_no_table_outlives_a_call(self, monkeypatch):
+        # below the top size every entry comes from the call's tables, so a
+        # table kept from the first call would hide the patched cycle rule
+        first = [row.line() for row in xcheck.xcheck_recognition(max_n=6)]
+        monkeypatch.setattr(oracle, "_induced_cycle", lambda masks, subset: False)
+        patched = xcheck.xcheck_recognition(max_n=6)
+        split = patched[xcheck._RECOGNITION_ROWS.index("split recognizer == {2K2, C4, C5} scan")]
+        assert split.failures > 0
+        monkeypatch.undo()
+        assert [row.line() for row in xcheck.xcheck_recognition(max_n=6)] == first
 
 
 class TestOracleAgreement:
