@@ -50,7 +50,6 @@ from .recognition import (
     SplitPartition,
     caterpillar_decomposition,
     caterpillar_graph,
-    creation_sequence_matches,
     forest_from_parents,
     is_proper_interval,
     is_umbrella_order,

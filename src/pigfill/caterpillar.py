@@ -18,7 +18,6 @@ where s_i is the size of bucket i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import comb
 from operator import itemgetter
 
@@ -174,48 +173,16 @@ def _placement_order(p: PointPlacement) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _describes(d: CaterpillarDecomposition, g: Graph) -> bool:
-    """True iff d names each vertex of g once and its edges are exactly E(g).
+def caterpillar_pig_completion(g: Graph, *, cost_only: bool = False) -> CompletionResult:
+    """Minimum proper-interval completion of a caterpillar, on its spine decomposition.
 
-    O(n): the spine path and the leaf-to-spine pairs are distinct when every
-    vertex is named once, so they are exactly E(g) when each is an edge and
-    there are g.m of them.  A leaf's pair is an edge iff its neighbour tuple
-    is exactly its spine vertex, since the count leaves it no other edge.
+    Raises ClassMembershipError when g is not a caterpillar.  With
+    ``cost_only`` the fill is not materialized and ``fill`` and ``order`` are
+    None; otherwise ``order`` is an umbrella order of g plus the fill.
     """
-    n = g.n
-    spine = d.spine
-    leaves = sum(map(len, d.buckets))
-    if not spine or len(d.buckets) != len(spine) or len(spine) + leaves != n:
-        return False
-    if len(spine) - 1 + leaves != g.m:
-        return False
-    named = bytearray(n)
-    for v in chain(spine, *d.buckets):
-        if not 0 <= v < n or named[v]:
-            return False
-        named[v] = 1
-    nb = g.neighbors
-    return all(g.has_edge(u, v) for u, v in zip(spine, spine[1:])) and all(
-        nb[leaf] == (v,) for v, bucket in zip(spine, d.buckets) for leaf in bucket
-    )
-
-
-def caterpillar_pig_completion(
-    g: Graph, d: CaterpillarDecomposition | None = None, *, cost_only: bool = False
-) -> CompletionResult:
-    """Minimum proper-interval completion of a caterpillar.
-
-    Computes the spine decomposition if not supplied; a supplied one must
-    describe g exactly.  With ``cost_only`` the fill is not materialized and
-    ``fill`` and ``order`` are None; otherwise ``order`` is an umbrella order
-    of g plus the fill.
-    """
+    d = caterpillar_decomposition(g)
     if d is None:
-        d = caterpillar_decomposition(g)
-        if d is None:
-            raise ClassMembershipError("caterpillar")
-    elif not _describes(d, g):
-        raise GraphInputError("caterpillar decomposition does not describe the input graph")
+        raise ClassMembershipError("caterpillar")
     tables = build_placement_tables(d)
     placement = placement_from_tables(d, tables)
     if cost_only:

@@ -47,7 +47,8 @@ SCHEMA_VERSION = 1
 
 # One row per graph class, most specific first, which is also the order in
 # which ``complete --algo auto`` tries the rows that have a completer.  A
-# completer accepts its row's certificate.  Rows are module-level dicts so that
+# completer takes only the graph and reads the certificate that its row's
+# recognizer cached on it.  Rows are module-level dicts so that
 # tracers patching module attributes and module dicts reach the functions.
 _THRESHOLD = dict(
     name="threshold", key="threshold", algo="threshold",
@@ -224,9 +225,9 @@ def _cmd_complete(args) -> int:
             continue
         cert = row["recognize"](g)
         # an explicit --algo runs even without a certificate: the completer
-        # then recognizes again and raises with a witness
+        # then reads the cached None and raises with a witness
         if cert is not None or args.algo != "auto":
-            result = row["complete"](g, cert, cost_only=args.cost_only)
+            result = row["complete"](g, cost_only=args.cost_only)
             if row is _THRESHOLD:
                 sequence = row["json"](cert)
             break

@@ -40,7 +40,7 @@ from .recognition import (
 )
 
 # gen threshold --n 2000 (989 723 edges) peaks near 230 MB, the 31-vertex gadget near 90 MB,
-# and a quasi-threshold forest of 2·10^6 edges near 480 MB
+# and gen quasi-threshold at 2·10^6 edges (n = 204 024, seed 1) near 140 MB
 MAX_PAIRS = 2 * 10**6
 
 

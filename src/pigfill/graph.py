@@ -3,12 +3,16 @@
 Vertices are the integers ``0..n-1``.  A graph is its sorted neighbour tuples;
 the n-bit bitmask rows that the small-n scans use are built on first read of
 ``Graph.masks`` and cached, so sparse inputs never pay O(n^2) bits unless a
-mask-based routine runs on them.  Every operation returns a new value;
-nothing here mutates.  Edges are ``(u, v)`` pairs in canonical ``u < v`` form.
-``build_graph`` is the one validating constructor and ``non_edges_within``
-the one builder of non-edge lists: a completion's fill, the brute-force
-oracle's included, is a strictly ascending tuple of such pairs, built in
-that order, so it is serialized as it is.
+mask-based routine runs on them.  The class certificates that the completers
+run on (creation sequence, rooted forest, spine decomposition) are cached on
+the graph in the same way by their recognizers, so one graph is recognized
+once per class.  Every operation returns a new value that carries none of
+its input's cached entries; nothing here mutates.  Edges are ``(u, v)``
+pairs in canonical ``u < v`` form.  ``build_graph`` is the one validating
+constructor and ``non_edges_within`` the one builder of non-edge lists: a
+completion's fill, the brute-force oracle's included, is a strictly
+ascending tuple of such pairs, built in that order, so it is serialized as
+it is.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ class Graph:
     ``neighbors[v]`` is the sorted tuple of neighbors of ``v``.  Adjacency is
     symmetric and loop-free by construction.  ``masks`` is derived from
     ``neighbors`` and not a field, so equality and hashing ignore whether it
-    has been built; so are the cached edge count ``m`` and edge-list ``text``.
+    has been built; so are the cached edge count ``m`` and edge-list ``text``,
+    and the certificates that ``recognition``'s class recognizers store in
+    the instance dict.
     """
 
     n: int

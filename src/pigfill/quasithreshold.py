@@ -35,16 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ClassMembershipError, GraphInputError
+from .errors import ClassMembershipError
 from .graph import Graph, non_edges_within
 from .oracle import WITNESS_CAP, forbidden_subgraph_scan
-from .recognition import (
-    QtForest,
-    forest_from_parents,
-    qt_forest_graph,
-    qt_forest_postorder,
-    quasi_threshold_forest,
-)
+from .recognition import QtForest, qt_forest_postorder, quasi_threshold_forest
 from .results import CliqueBipartition, CompletionResult
 
 
@@ -151,27 +145,22 @@ def _backtrack(f: QtForest, tables: DpTables, j_star: int) -> tuple[tuple[int, .
     return s1, s2
 
 
-def qt_cobipartite_completion(
-    g: Graph, forest: QtForest | None = None, *, cost_only: bool = False
-) -> CompletionResult:
+def qt_cobipartite_completion(g: Graph, *, cost_only: bool = False) -> CompletionResult:
     """Minimum co-bipartite completion with an explicit clique bipartition.
 
-    Computes the rooted forest if not supplied; a supplied one must rebuild g.
-    The result is labeled a lower bound for the minimum proper-interval
-    completion when the cost equals the sum of the components' own
-    co-bipartite optima: always on a connected input, and on a disconnected
-    one only when no pair between components is charged.  Ties resolve to the
-    smallest side-1 size.
+    Runs on g's rooted forest; ClassMembershipError when g is not
+    quasi-threshold.  The result is labeled a lower bound for the minimum
+    proper-interval completion when the cost equals the sum of the
+    components' own co-bipartite optima: always on a connected input, and on
+    a disconnected one only when no pair between components is charged.
+    Ties resolve to the smallest side-1 size.
     The fill is an ascending tuple; with ``cost_only`` it is not materialized
     and ``fill`` is None.
     """
+    forest = quasi_threshold_forest(g)
     if forest is None:
-        forest = quasi_threshold_forest(g)
-        if forest is None:
-            witness = forbidden_subgraph_scan(g, "quasi-threshold") if g.n <= WITNESS_CAP else None
-            raise ClassMembershipError("quasi-threshold", witness)
-    elif forest != forest_from_parents(list(forest.parent)) or qt_forest_graph(forest) != g:
-        raise GraphInputError("quasi-threshold forest does not rebuild the input graph")
+        witness = forbidden_subgraph_scan(g, "quasi-threshold") if g.n <= WITNESS_CAP else None
+        raise ClassMembershipError("quasi-threshold", witness)
     tables = build_dp_tables(forest)
     cost = min(tables.root_row)
     j_star = tables.root_row.index(cost)

@@ -5,12 +5,18 @@ forest, spine decomposition, split partition) that the completion algorithms
 consume directly, or ``None`` when the graph is not in the class.  Ties are
 broken by smallest vertex id (the later LexBFS sweeps of the proper-interval
 test by the previous sweep's order), so certificates are deterministic.
+
+The three certificates a completer runs on (creation sequence, rooted forest,
+spine decomposition) are cached on the graph they were computed from, so a
+completer calls its recognizer again at no cost after ``complete`` has probed
+the class, and no certificate is ever taken from outside.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import wraps
 from itertools import accumulate, compress
 from operator import itemgetter, sub
 from typing import Sequence
@@ -20,6 +26,31 @@ from .graph import Edge, Graph, build_graph
 
 ISOLATED = "i"
 DOMINATING = "d"
+
+_MISSING = object()
+
+
+def _cached(recognize):
+    """Keep ``recognize(g)`` on g, None included, and return it on every later call.
+
+    A Graph never changes, so its certificate cannot go stale.  The result is
+    stored in ``g.__dict__`` like the cached ``Graph.masks``, under the
+    recognizer's dotted name, which no Graph attribute can have, so ``==``
+    and ``hash`` ignore it.  A miss calls ``__wrapped__``, the undecorated
+    recognizer, looked up at each miss so that a replacement of it, such as
+    a test's counter, sees every recognition that runs.
+    """
+    key = f"{recognize.__module__}.{recognize.__qualname__}"
+
+    @wraps(recognize)
+    def cached(g: Graph):
+        store = g.__dict__
+        cert = store.get(key, _MISSING)
+        if cert is _MISSING:
+            cert = store[key] = cached.__wrapped__(g)
+        return cert
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -401,33 +432,7 @@ def replay_creation_sequence(seq: CreationSequence) -> Graph:
     return build_graph(n, edges)
 
 
-def creation_sequence_matches(g: Graph, seq: CreationSequence) -> bool:
-    """True iff ``seq`` is well formed and replays to ``g``; O(n), builds no graph.
-
-    The replay gives the vertex at position p degree p (0 if tagged ``i``)
-    plus the number of later ``d`` steps, so g must have those degrees.  They
-    suffice: any other graph with the replay's degrees would be reachable from
-    it by 2-switches (ab, cd edges and ac, bd non-edges traded), and a 2-switch
-    needs an induced 2K2, P4 or C4, which the threshold replay does not have.
-    """
-    n, steps = g.n, seq.steps
-    if len(steps) != n:
-        return False
-    seen = bytearray(n)
-    for v, tag in steps:
-        if not 0 <= v < n or seen[v] or tag not in (ISOLATED, DOMINATING):
-            return False
-        seen[v] = 1
-    later = 0
-    for p in range(n - 1, -1, -1):
-        v, tag = steps[p]
-        dominating = tag == DOMINATING
-        if len(g.neighbors[v]) != (p if dominating else 0) + later:
-            return False
-        later += dominating
-    return True
-
-
+@_cached
 def threshold_creation_sequence(g: Graph) -> CreationSequence | None:
     """Creation sequence of a threshold graph, or None.
 
@@ -540,16 +545,33 @@ def qt_forest_postorder(f: QtForest) -> list[int]:
 
 
 def qt_forest_graph(f: QtForest) -> Graph:
-    """Graph realized by a forest: u ~ v iff one is a strict ancestor of the other."""
-    edges = []
-    for v in range(f.n):
-        p = f.parent[v]
-        while p is not None:
-            edges.append((v, p))
-            p = f.parent[p]
-    return build_graph(f.n, edges)
+    """Graph realized by a forest: u ~ v iff one is a strict ancestor of the other.
+
+    Each neighbour tuple is built directly, with no edge list and no set: in
+    a preorder, v's strict descendants are the subtree_size(v) - 1 vertices
+    right after v, and its ancestors are the root path the walk holds when it
+    reaches v, so a row is those two runs, sorted.
+    """
+    parent, children, size = f.parent, f.children, f.subtree_size
+    pre: list[int] = []
+    stack = list(reversed(f.roots))
+    while stack:
+        v = stack.pop()
+        pre.append(v)
+        stack += reversed(children[v])
+    rows: list[tuple[int, ...]] = [()] * f.n
+    depth = [0] * f.n
+    path: list[int] = []  # the ancestors of the vertex being visited, root first
+    for i, v in enumerate(pre):
+        p = parent[v]
+        depth[v] = 0 if p is None else depth[p] + 1
+        del path[depth[v] :]
+        rows[v] = tuple(sorted(path + pre[i + 1 : i + size[v]]))
+        path.append(v)
+    return Graph(f.n, tuple(rows))
 
 
+@_cached
 def quasi_threshold_forest(g: Graph) -> QtForest | None:
     """Certifying forest of a quasi-threshold graph, or None.
 
@@ -615,6 +637,7 @@ def caterpillar_graph(d: CaterpillarDecomposition) -> Graph:
     return build_graph(n, edges)
 
 
+@_cached
 def caterpillar_decomposition(g: Graph) -> CaterpillarDecomposition | None:
     """Spine decomposition of a caterpillar, or None.
 

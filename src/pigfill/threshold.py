@@ -16,16 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ClassMembershipError, GraphInputError
+from .errors import ClassMembershipError
 from .graph import Graph, non_edges_within
 from .oracle import WITNESS_CAP, forbidden_subgraph_scan
-from .recognition import (
-    DOMINATING,
-    ISOLATED,
-    CreationSequence,
-    creation_sequence_matches,
-    threshold_creation_sequence,
-)
+from .recognition import DOMINATING, ISOLATED, CreationSequence, threshold_creation_sequence
 from .results import CliqueBipartition, CompletionResult
 
 
@@ -35,7 +29,6 @@ class ThresholdRun:
 
     sequence: CreationSequence
     side: tuple[int, ...]  # 1 or 2 per step
-    running_sizes: tuple[tuple[int, int], ...]
     cost: int
     stripped: tuple[int, ...]  # vertices isolated in the input, left untouched
 
@@ -44,12 +37,11 @@ class ThresholdRun:
         return len(self.side)
 
 
-def _assign(steps: tuple[tuple[int, str], ...]) -> tuple[list[int], list[tuple[int, int]], int]:
+def _assign(steps: tuple[tuple[int, str], ...]) -> tuple[list[int], int]:
     iso_after = [0] * (len(steps) + 1)
     for p in range(len(steps) - 1, -1, -1):
         iso_after[p] = iso_after[p + 1] + (steps[p][1] == ISOLATED)
     side: list[int] = []
-    sizes: list[tuple[int, int]] = []
     s1 = s2 = cost = 0
     for p, (_, tag) in enumerate(steps):
         if tag == DOMINATING:
@@ -63,23 +55,19 @@ def _assign(steps: tuple[tuple[int, str], ...]) -> tuple[list[int], list[tuple[i
             side.append(2)
             cost += s2
             s2 += 1
-        sizes.append((s1, s2))
-    return side, sizes, cost
+    return side, cost
 
 
-def threshold_run(g: Graph, sequence: CreationSequence | None = None) -> ThresholdRun:
-    """Run the assignment loop; computes the sequence if not supplied, else checks it against g."""
+def threshold_run(g: Graph) -> ThresholdRun:
+    """Run the assignment loop on g's creation sequence; ClassMembershipError if g is not threshold."""
+    sequence = threshold_creation_sequence(g)
     if sequence is None:
-        sequence = threshold_creation_sequence(g)
-        if sequence is None:
-            witness = forbidden_subgraph_scan(g, "threshold") if g.n <= WITNESS_CAP else None
-            raise ClassMembershipError("threshold", witness)
-    elif not creation_sequence_matches(g, sequence):
-        raise GraphInputError("creation sequence does not replay to the input graph")
+        witness = forbidden_subgraph_scan(g, "threshold") if g.n <= WITNESS_CAP else None
+        raise ClassMembershipError("threshold", witness)
     active = tuple(step for step in sequence.steps if g.degree(step[0]) > 0)
     stripped = tuple(v for v, _ in sequence.steps if g.degree(v) == 0)
-    side, sizes, cost = _assign(active)
-    return ThresholdRun(CreationSequence(active), tuple(side), tuple(sizes), cost, tuple(sorted(stripped)))
+    side, cost = _assign(active)
+    return ThresholdRun(CreationSequence(active), tuple(side), cost, tuple(sorted(stripped)))
 
 
 def _clique_pair_order(g: Graph, s1: tuple[int, ...], s2: tuple[int, ...], rest: tuple[int, ...]) -> tuple[int, ...]:
@@ -106,9 +94,7 @@ def _clique_pair_order(g: Graph, s1: tuple[int, ...], s2: tuple[int, ...], rest:
     return tuple(order) + rest
 
 
-def threshold_pig_completion(
-    g: Graph, sequence: CreationSequence | None = None, *, cost_only: bool = False
-) -> CompletionResult:
+def threshold_pig_completion(g: Graph, *, cost_only: bool = False) -> CompletionResult:
     """Minimum proper-interval completion of a threshold graph.
 
     Returns the fill edges (non-edges inside the two sides, as an ascending
@@ -116,7 +102,7 @@ def threshold_pig_completion(
     order of g plus the fill.  With ``cost_only`` the fill is not
     materialized and ``fill`` and ``order`` are None.
     """
-    run = threshold_run(g, sequence)
+    run = threshold_run(g)
     s1 = tuple(sorted(v for (v, _), s in zip(run.sequence.steps, run.side) if s == 1))
     s2 = tuple(sorted(v for (v, _), s in zip(run.sequence.steps, run.side) if s == 2))
     cert = CliqueBipartition(s1, s2)

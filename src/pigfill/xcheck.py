@@ -161,7 +161,7 @@ def xcheck_threshold(max_n: int = 7, random_trials: int = 0, seed: int = 0) -> l
     duality = CheckRow("cost == pairs - edges - maxcut(complement) (connected)")
     for n in range(1, max_n + 1):
         for g, seq in enumerate_threshold(n):
-            res = threshold_pig_completion(g, seq)
+            res = threshold_pig_completion(g)
             pig_cost, _ = brute_min_pig(g, max_n)
             optimality.count(res.cost == pig_cost, f"n={n} tags={seq.tags()} {res.cost}!={pig_cost}")
             validity.count(_valid_pig_completion(g, res), f"n={n} tags={seq.tags()}")

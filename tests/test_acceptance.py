@@ -147,7 +147,7 @@ def test_criterion_7_complexity_counters():
     qt_counts = []
     for n in ns:
         g, seq = gen_threshold(n, 0.5, seed=SEED + n)
-        threshold_counts.append(threshold_run(g, seq).step_count)
+        threshold_counts.append(threshold_run(g).step_count)
         _, d = caterpillar_from_buckets([(n - 2 + 1) // 2, (n - 2) // 2])
         caterpillar_counts.append(build_placement_tables(d).eval_count)
         _, forest = gen_quasi_threshold(n, seed=SEED + n)

@@ -7,7 +7,6 @@ from itertools import combinations
 import pytest
 
 from pigfill import (
-    CaterpillarDecomposition,
     ClassMembershipError,
     GraphInputError,
     PointPlacement,
@@ -27,7 +26,6 @@ from pigfill import (
     threshold_pig_completion,
     validate_completion,
 )
-from pigfill.caterpillar import _describes
 from pigfill.generators import gen_caterpillar
 
 
@@ -98,18 +96,11 @@ class TestCompletion:
             caterpillar_pig_completion(c4)
 
     def test_supplied_decomposition_used(self):
+        # the DP takes a decomposition as it is; the completer runs it on the recognizer's
         g, d = caterpillar_from_buckets([2, 0, 3])
-        assert caterpillar_pig_completion(g, d) == caterpillar_pig_completion(g)
-
-    def test_supplied_decomposition_validated(self, p4):
-        _, other = caterpillar_from_buckets([1, 1])  # the path 2-0-1-3
-        with pytest.raises(GraphInputError):
-            caterpillar_pig_completion(p4, other)
-
-    def test_malformed_decomposition_rejected(self):
-        g = build_graph(3, [(0, 1)])
-        with pytest.raises(GraphInputError):
-            caterpillar_pig_completion(g, CaterpillarDecomposition((0, 1, 0), ((), (), ())))
+        res = caterpillar_pig_completion(g)
+        assert d == caterpillar_decomposition(g)
+        assert placement_from_tables(d, build_placement_tables(d)) == res.certificate
 
     def test_caterpillar_at_100k_builds_no_rows(self):
         # the steps of `complete --algo auto` on a caterpillar, from the text
@@ -117,55 +108,13 @@ class TestCompletion:
         start = time.perf_counter()
         g = parse_graph(text)
         assert threshold_creation_sequence(g) is None
-        result = caterpillar_pig_completion(g, caterpillar_decomposition(g))
+        assert caterpillar_decomposition(g) is not None
+        result = caterpillar_pig_completion(g)
         elapsed = time.perf_counter() - start
         assert g.n > 95_000
         validate_completion(g, result)
         assert "masks" not in g.__dict__
         assert elapsed < 5.0, f"{elapsed:.1f} s"
-
-
-class TestSuppliedDecompositionChecks:
-    """Each case breaks one rule of the O(n) check and keeps the others."""
-
-    @pytest.fixture
-    def base(self):
-        return caterpillar_from_buckets([2, 1, 1])  # spine 0-1-2, leaves (3, 4), (5,), (6,)
-
-    def test_exact_decomposition_accepted(self, base):
-        g, d = base
-        assert _describes(d, g)
-        assert caterpillar_pig_completion(g, d) == caterpillar_pig_completion(g)
-
-    @pytest.mark.parametrize(
-        "spine, buckets",
-        [
-            ((0, 1, 2), ((3, 3), (5,), (6,))),  # 3 named twice, so 4 is missing
-            ((0, 1, 2), ((3, 7), (5,), (6,))),  # 7 out of range for n = 7
-            ((0, 1, 2), ((3,), (4, 5), (6,))),  # leaf 4 under the wrong spine vertex
-            ((0, 2, 1), ((3, 4), (6,), (5,))),  # spine 0-2 is not an edge
-        ],
-        ids=["named-twice", "out-of-range", "wrong-bucket", "spine-gap"],
-    )
-    def test_rejected(self, base, spine, buckets):
-        g, _ = base
-        d = CaterpillarDecomposition(spine, buckets)
-        assert not _describes(d, g)
-        with pytest.raises(GraphInputError):
-            caterpillar_pig_completion(g, d)
-
-    def test_unnamed_isolated_vertex_rejected(self, base):
-        g, d = base
-        # vertex 7 is isolated, so the edge count still matches
-        assert not _describes(d, build_graph(8, g.edges()))
-
-    def test_extra_edge_rejected_by_count(self, base):
-        g, d = base
-        # every pair d describes is still an edge; only the count is off
-        plus = apply_fill(g, [(0, 2)])
-        assert not _describes(d, plus)
-        with pytest.raises(GraphInputError):
-            caterpillar_pig_completion(plus, d)
 
 
 class TestMaterialize:

@@ -4,21 +4,13 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from enum import IntEnum
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pigfill import (
-    caterpillar_decomposition,
-    gen_caterpillar,
-    gen_quasi_threshold,
-    gen_threshold,
-    quasi_threshold_forest,
-    serialize_graph,
-    threshold_creation_sequence,
-)
+from pigfill import gen_caterpillar, gen_quasi_threshold, gen_threshold, serialize_graph
 from pigfill.cli import _build_parser, _dumps, main
 from pigfill.graphio import MAX_VERTICES
 
@@ -41,32 +33,6 @@ def p4_file(tmp_path):
     path = tmp_path / "p4.txt"
     path.write_text(P4)
     return str(path)
-
-
-@pytest.fixture
-def probe_counts(monkeypatch):
-    """Count class-recognizer calls made through any pigfill module or module dict."""
-    counts: Counter = Counter()
-    recognizers = (threshold_creation_sequence, caterpillar_decomposition, quasi_threshold_forest)
-
-    def counting(fn):
-        def wrapper(g):
-            counts[fn.__name__] += 1
-            return fn(g)
-
-        return wrapper
-
-    for name, mod in list(sys.modules.items()):
-        if name != "pigfill" and not name.startswith("pigfill."):
-            continue
-        for attr, obj in list(vars(mod).items()):
-            if any(obj is fn for fn in recognizers):
-                monkeypatch.setattr(mod, attr, counting(obj))
-            elif isinstance(obj, dict) and not attr.startswith("__"):
-                for key, val in list(obj.items()):
-                    if any(val is fn for fn in recognizers):
-                        monkeypatch.setitem(obj, key, counting(val))
-    return counts
 
 
 def run_json(capsys, argv):
@@ -179,6 +145,12 @@ class TestComplete:
         code, env = run_json(capsys, ["complete", "--json", "--algo", algo, str(path)])
         assert code == 0 and env["algorithm"] == expected
         assert probe_counts and max(probe_counts.values()) == 1, dict(probe_counts)
+
+    def test_explicit_algo_miss_recognizes_once(self, capsys, p4_file, probe_counts):
+        # the completer reads the probe's cached None and raises with a witness
+        assert main(["complete", "--algo", "threshold", p4_file]) == 1
+        assert "not threshold (induced P4" in capsys.readouterr().err
+        assert probe_counts == {"threshold_creation_sequence": 1}
 
 
 class TestParserBuiltOnce:

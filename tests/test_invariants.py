@@ -139,7 +139,7 @@ def _assert_fills_ascending(g):
         cert = recognize(g)
         if cert is None:
             continue
-        fill = complete(g, cert).fill
+        fill = complete(g).fill
         assert type(fill) is tuple, (complete.__name__, g.edges())
         assert all(type(p) is tuple and len(p) == 2 and 0 <= p[0] < p[1] < g.n for p in fill), fill
         assert all(a < b for a, b in zip(fill, fill[1:])), (complete.__name__, fill)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -121,7 +120,7 @@ class TestCompletion:
         for n in range(1, 8):
             for forest in enumerate_rooted_forests(n):
                 g = qt_forest_graph(forest)
-                res = qt_cobipartite_completion(g, forest, cost_only=True)
+                res = qt_cobipartite_completion(g, cost_only=True)
                 if len(forest.roots) == 1:
                     assert res.lower_bound_for == "pig-completion", forest.parent
                 if res.lower_bound_for:
@@ -138,17 +137,9 @@ class TestCompletion:
         assert err.value.witness[0] == "C4"
 
     def test_supplied_forest_used(self, claw):
-        forest = quasi_threshold_forest(claw)
-        assert qt_cobipartite_completion(claw, forest) == qt_cobipartite_completion(claw)
-
-    def test_supplied_forest_validated(self, claw, k4):
-        with pytest.raises(GraphInputError):
-            qt_cobipartite_completion(k4, quasi_threshold_forest(claw))
-
-    def test_inconsistent_forest_caches_rejected(self, claw):
-        forest = quasi_threshold_forest(claw)
-        with pytest.raises(GraphInputError):
-            qt_cobipartite_completion(claw, replace(forest, subtree_size=(1, 1, 1, 1)))
+        # the DP takes a forest as it is; the completer runs it on the recognizer's
+        tables = build_dp_tables(quasi_threshold_forest(claw))
+        assert min(tables.root_row) == qt_cobipartite_completion(claw).cost == 1
 
     def test_cyclic_parents_rejected(self):
         with pytest.raises(GraphInputError):

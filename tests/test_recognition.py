@@ -14,9 +14,11 @@ from pigfill import (
     enumerate_threshold,
     forbidden_subgraph_scan,
     is_proper_interval,
+    parse_graph,
     qt_forest_graph,
     quasi_threshold_forest,
     replay_creation_sequence,
+    serialize_graph,
     split_partition,
     threshold_creation_sequence,
     threshold_pig_completion,
@@ -120,8 +122,8 @@ class TestProperInterval:
         assert kinds == {"claw", "net", "tent", "chordless-cycle"}
 
     def test_completed_caterpillar_at_10k_is_fast(self):
-        g, d = gen_caterpillar(5000, 2, seed=3)
-        h = apply_fill(g, caterpillar_pig_completion(g, d).fill)
+        g, _ = gen_caterpillar(5000, 2, seed=3)
+        h = apply_fill(g, caterpillar_pig_completion(g).fill)
         assert h.n > 9000
         start = time.perf_counter()
         verdict = is_proper_interval(h)
@@ -130,8 +132,8 @@ class TestProperInterval:
         assert elapsed < 5.0, f"{elapsed:.1f} s"
 
     def test_completed_threshold_at_800_is_fast(self):
-        g, seq = gen_threshold(800, 0.5, 1)
-        h = apply_fill(g, threshold_pig_completion(g, seq).fill)
+        g, _ = gen_threshold(800, 0.5, 1)
+        h = apply_fill(g, threshold_pig_completion(g).fill)
         start = time.perf_counter()
         verdict = is_proper_interval(h)
         elapsed = time.perf_counter() - start
@@ -178,11 +180,11 @@ class TestAcceptWithoutClawScan:
             assert is_proper_interval(g).order == order
 
     def test_completed_threshold_and_caterpillar(self, monkeypatch):
-        g, seq = gen_threshold(120, 0.5, 2)
-        c, d = gen_caterpillar(200, 3, seed=2)
+        g, _ = gen_threshold(120, 0.5, 2)
+        c, _ = gen_caterpillar(200, 3, seed=2)
         completed = [
-            apply_fill(g, threshold_pig_completion(g, seq).fill),
-            apply_fill(c, caterpillar_pig_completion(c, d).fill),
+            apply_fill(g, threshold_pig_completion(g).fill),
+            apply_fill(c, caterpillar_pig_completion(c).fill),
         ]
         monkeypatch.setattr(recognition, "_find_claw", _refuse_claw_scan)
         for h in completed:
@@ -270,6 +272,45 @@ class TestCaterpillarRecognizer:
 
     def test_reconstruction(self, p4):
         assert caterpillar_graph(caterpillar_decomposition(p4)) == p4
+
+
+CACHED_RECOGNIZERS = (threshold_creation_sequence, caterpillar_decomposition, quasi_threshold_forest)
+
+
+class TestCertificateCache:
+    @pytest.mark.parametrize("recognize", CACHED_RECOGNIZERS, ids=lambda f: f.__name__)
+    def test_second_call_returns_the_same_object(self, claw, recognize, probe_counts):
+        first = recognize(claw)
+        assert first is not None and recognize(claw) is first
+        assert probe_counts == {recognize.__name__: 1}
+
+    def test_none_is_cached(self, p4, c4, probe_counts):
+        assert threshold_creation_sequence(p4) is None and threshold_creation_sequence(p4) is None
+        assert quasi_threshold_forest(c4) is None and quasi_threshold_forest(c4) is None
+        assert caterpillar_decomposition(c4) is None and caterpillar_decomposition(c4) is None
+        assert probe_counts == {"threshold_creation_sequence": 1, "quasi_threshold_forest": 1, "caterpillar_decomposition": 1}
+
+    def test_new_graphs_carry_no_certificate(self, claw, probe_counts):
+        for recognize in CACHED_RECOGNIZERS:
+            recognize(claw)
+        rebuilt = (
+            build_graph(claw.n, claw.edges()),
+            apply_fill(claw, ()),
+            apply_fill(claw, [(1, 2)]),
+            parse_graph(serialize_graph(claw)),
+        )
+        for g in rebuilt:
+            probe_counts.clear()
+            for recognize in CACHED_RECOGNIZERS:
+                recognize(g)
+            assert sum(probe_counts.values()) == 3, g
+
+    def test_equality_and_hash_ignore_the_cache(self, claw):
+        fresh = build_graph(claw.n, claw.edges())
+        for recognize in CACHED_RECOGNIZERS:
+            recognize(claw)
+        assert claw == fresh and hash(claw) == hash(fresh)
+        assert {claw: 1}[fresh] == 1
 
 
 class TestSplitRecognizer:

@@ -1,25 +1,19 @@
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
-
 import pytest
 
 from pigfill import (
     ClassMembershipError,
-    CreationSequence,
     GraphInputError,
     apply_fill,
     brute_min_pig,
     build_graph,
-    creation_sequence_matches,
     enumerate_threshold,
     is_proper_interval,
-    replay_creation_sequence,
     threshold_pig_completion,
     threshold_run,
     validate_completion,
 )
-from pigfill.generators import gen_threshold
 from pigfill.xcheck import maxcut_identity_check, partition_cost
 
 
@@ -60,83 +54,28 @@ class TestCompletionExamples:
             threshold_pig_completion(p4)
         assert err.value.witness[0] == "P4"
 
-    def test_supplied_sequence_validated(self, claw):
-        bad = CreationSequence(((0, "i"), (1, "i"), (2, "i"), (3, "d")))
-        with pytest.raises(GraphInputError):
-            threshold_pig_completion(claw, bad)
-
-    @pytest.mark.parametrize(
-        "steps",
-        [
-            ((0, "x"), (1, "i"), (2, "i"), (3, "d")),  # unknown tag
-            ((1, "i"), (1, "i"), (2, "i"), (0, "d")),  # vertex named twice
-            ((4, "i"), (1, "i"), (2, "i"), (0, "d")),  # vertex out of range
-            ((1, "i"), (2, "i"), (0, "d")),  # too short
-            ((1, "i"), (2, "i"), (3, "i"), (0, "d"), (4, "i")),  # too long
-        ],
-    )
-    def test_malformed_sequence_is_an_input_error(self, claw, steps):
-        with pytest.raises(GraphInputError, match="does not replay to the input graph"):
-            threshold_pig_completion(claw, CreationSequence(steps))
-
-
-def _all_sequences(n):
-    for perm in permutations(range(n)):
-        for tags in product("id", repeat=n):
-            yield CreationSequence(tuple(zip(perm, tags)))
-
-
-class TestSuppliedSequenceCheck:
-    def test_matches_replay_exhaustive_to_4(self):
-        for n in range(5):
-            pairs = list(combinations(range(n), 2))
-            subsets = range(1 << len(pairs))
-            graphs = [build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1]) for mask in subsets]
-            for seq in _all_sequences(n):
-                replayed = replay_creation_sequence(seq)
-                assert [creation_sequence_matches(g, seq) for g in graphs] == [g == replayed for g in graphs]
-
-    def test_matches_replay_near_each_replay_at_5(self):
-        pairs = list(combinations(range(5), 2))
-        for seq in _all_sequences(5):
-            replayed = replay_creation_sequence(seq)
-            assert creation_sequence_matches(replayed, seq)
-            for p in pairs:
-                toggled = build_graph(5, set(replayed.edges()) ^ {p})
-                assert not creation_sequence_matches(toggled, seq), (seq.steps, p)
-
-    def test_generated_sequences_match(self):
-        for seed in range(20):
-            g, seq = gen_threshold(30 + seed, 0.5, seed)
-            assert creation_sequence_matches(g, seq)
-            swapped = CreationSequence(seq.steps[1:2] + seq.steps[:1] + seq.steps[2:])
-            assert creation_sequence_matches(g, swapped) == (replay_creation_sequence(swapped) == g)
-
 
 class TestRunTrace:
     def test_claw_trace(self, claw):
         run = threshold_run(claw)
         assert run.sequence.tags() == "iiid"
         assert run.side == (1, 2, 2, 1)
-        assert run.running_sizes == ((1, 0), (1, 1), (1, 2), (2, 2))
         assert run.cost == 1
         assert run.step_count == 4
 
     def test_dominating_always_side1_and_final_balance(self):
         for n in range(1, 8):
-            for g, seq in enumerate_threshold(n):
-                run = threshold_run(g, seq)
+            for g, _ in enumerate_threshold(n):
+                run = threshold_run(g)
                 for (v, tag), side in zip(run.sequence.steps, run.side):
                     if tag == "d":
                         assert side == 1
-                if run.running_sizes:
-                    s1, s2 = run.running_sizes[-1]
-                    assert s1 >= s2
+                assert run.side.count(1) >= run.side.count(2)
 
     def test_incremental_cost_equals_fill(self):
         for n in range(1, 7):
-            for g, seq in enumerate_threshold(n):
-                res = threshold_pig_completion(g, seq)
+            for g, _ in enumerate_threshold(n):
+                res = threshold_pig_completion(g)
                 assert res.cost == len(res.fill)
 
 

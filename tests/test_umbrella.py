@@ -17,6 +17,7 @@ import pytest
 from pigfill import (
     apply_fill,
     build_graph,
+    CompletionResult,
     build_placement_tables,
     caterpillar_from_buckets,
     caterpillar_pig_completion,
@@ -25,6 +26,7 @@ from pigfill import (
     gen_threshold,
     is_umbrella_order,
     load_graph,
+    materialize_fill_edges,
     placement_from_tables,
     qt_cobipartite_completion,
     serialize_graph,
@@ -33,6 +35,7 @@ from pigfill import (
 )
 from pigfill import cli, recognition
 from pigfill import graph as graph_module
+from pigfill.caterpillar import _placement_order
 from pigfill.cli import main
 from pigfill.xcheck import _all_graphs, _compositions
 from test_recognition import _relabelled, assert_umbrella_order
@@ -42,6 +45,14 @@ def _check(g, result):
     assert result.order is not None
     assert_umbrella_order(apply_fill(g, result.fill), result.order)
     validate_completion(g, result)
+
+
+def _placement_result(g, d):
+    """The caterpillar completion on the decomposition d, as the completer builds it on its own."""
+    tables = build_placement_tables(d)
+    placement = placement_from_tables(d, tables)
+    fill = materialize_fill_edges(g, placement)
+    return CompletionResult(fill, tables.answer, placement, "caterpillar", order=_placement_order(placement))
 
 
 def _has_edge_umbrella(g, order):
@@ -65,8 +76,8 @@ class TestCompleterOrders:
     def test_every_threshold_sequence_to_8(self):
         count = 0
         for n in range(1, 9):
-            for g, seq in enumerate_threshold(n):
-                _check(g, threshold_pig_completion(g, seq))
+            for g, _ in enumerate_threshold(n):
+                _check(g, threshold_pig_completion(g))
                 count += 1
         assert count == 255  # 2^(n-1) sequences per n
 
@@ -74,22 +85,23 @@ class TestCompleterOrders:
         count = 0
         for sizes in _caterpillar_bucket_sequences():
             g, d = caterpillar_from_buckets(sizes)
-            _check(g, caterpillar_pig_completion(g, d))
+            _check(g, _placement_result(g, d))
             _check(g, caterpillar_pig_completion(g))
             count += 1
         assert count == 150  # the caterpillar row count of xcheck
 
     def test_generated_threshold_graphs(self):
         for seed in range(200):
-            g, seq = gen_threshold(2 + seed % 60, 0.2 + (seed % 7) / 10, seed)
-            _check(g, threshold_pig_completion(g, seq))
+            g, _ = gen_threshold(2 + seed % 60, 0.2 + (seed % 7) / 10, seed)
+            _check(g, threshold_pig_completion(g))
             h = _relabelled(g, seed)
             _check(h, threshold_pig_completion(h))
 
     def test_generated_caterpillars(self):
         for seed in range(200):
             g, d = gen_caterpillar(1 + seed % 40, 1 + seed % 4, seed)
-            _check(g, caterpillar_pig_completion(g, d))
+            _check(g, _placement_result(g, d))
+            _check(g, caterpillar_pig_completion(g))
             h = _relabelled(g, seed)
             _check(h, caterpillar_pig_completion(h))
 
@@ -106,7 +118,7 @@ class TestCompleterOrders:
 
     def test_caterpillar_order_layout(self):
         g, d = caterpillar_from_buckets([2, 2])  # spine 0-1, leaves 2, 3 and 4, 5
-        res = caterpillar_pig_completion(g, d)
+        res = _placement_result(g, d)
         points = dict(res.certificate.points)
         # the leaves on point t, in ascending id, then spine[t]
         expected = []
