@@ -4,12 +4,14 @@ These search the whole space (fill-edge subsets, bipartitions, vertex
 subsets).  One piece is shared with the fast algorithms they certify: the PIG
 oracle tests candidates with ``recognition.pig_mask_check``, the claw,
 chordless-cycle, net and tent search that the proper-interval recognizer runs
-only to name the witness of a rejection, and prunes by that search's claw
-(``recognition._find_claw``).  The recognizer's accept path, the 3-sweep
-LexBFS umbrella order, is not shared.  The PIG oracle skips only branches
-that leave an induced claw or chordless C4 unfixed, which no answer can do;
-the other searches enumerate everything.  A ``max_n`` budget makes the
-exponential cost explicit: inputs over budget are refused, never truncated.
+only to name the witness of a rejection.  The recognizer's accept path, the
+3-sweep LexBFS umbrella order, is not shared, and the claws and C4s the
+oracle prunes by come from its own finder.  The PIG oracle skips only
+branches with fewer picks left than it has induced claws and chordless C4s
+with pairwise disjoint non-edge sets, or that leave one of them unfixed; no
+answer lies in them.  The other searches enumerate everything.  A ``max_n``
+budget makes the exponential cost explicit: inputs over budget are refused,
+never truncated.
 
 The forbidden-subgraph scans name a witness.  The hereditary membership
 tables answer only whether one exists, for every graph on n vertices at
@@ -28,7 +30,7 @@ from typing import Iterable
 
 from .errors import OracleBudgetError
 from .graph import Edge, Graph, non_edges_within
-from .recognition import _find_claw, pig_mask_check
+from .recognition import pig_mask_check
 
 
 def _require(n: int, max_n: int, what: str) -> None:
@@ -53,18 +55,18 @@ def brute_min_pig(g: Graph, max_n: int = 8) -> tuple[int, tuple[Edge, ...]]:
     ``u < v`` pairs, as the picks ascend.  More than ``max_n`` vertices are
     refused.
 
-    The subsets are walked depth first, one ascending non-edge index per level,
-    and a branch is skipped only when it holds no passing subset.  Proper
-    interval graphs are claw-free and chordal, and every induced subgraph of
-    one is again proper interval.  So when the graph built so far has an
-    induced claw or C4 on the vertex set O, a passing subset must add an edge
-    inside O: one of the non-edges NE(O) whose index is at least the next
-    index p still allowed.  The next pick therefore never exceeds the largest
-    such index, only members of NE(O) are tried as the last pick, and a branch
-    with no such index is dead.  A child keeps its parent's O while its pick
-    misses NE(O), since that leaves G[O] unchanged.  Picks are tried in
-    ascending order and no skipped branch holds a passing subset, so the first
-    subset accepted is the one plain enumeration would return.
+    The subsets are walked depth first, one ascending non-edge index per level
+    (see ``_first_picks``), and a branch is skipped only when it holds no
+    passing subset.  Proper interval graphs are claw-free and chordal, and
+    every induced subgraph of one is again proper interval.  So each induced
+    claw or C4 of the graph built so far needs a pick among its own
+    non-edges, and induced claws and C4s whose non-edge sets are pairwise
+    disjoint need a pick each (as in the bounded search of Kaplan, Shamir and
+    Tarjan, SIAM J. Comput. 28, 1999).  A greedy packing of them is a lower
+    bound on the picks left; the packing of G is one on the cost, so k starts
+    there.  Picks are tried in ascending order and no skipped branch holds a
+    passing subset, so the first subset accepted is the one plain enumeration
+    would return.
     """
     _require(g.n, max_n, "brute_min_pig")
     n = g.n
@@ -74,45 +76,89 @@ def brute_min_pig(g: Graph, max_n: int = 8) -> tuple[int, tuple[Edge, ...]]:
         inc[u] |= 1 << i
         inc[v] |= 1 << i
     masks = list(g.masks)
-    for k in range(len(non_edges) + 1):
-        picks = _first_picks(masks, n, non_edges, inc, 0, k, 0)
+    packing = _packing(masks, n, non_edges, inc, 0, [], len(non_edges))
+    for k in range(len(packing), len(non_edges) + 1):
+        picks = _first_picks(masks, n, non_edges, inc, 0, k, packing)
         if picks is not None:
             return k, tuple(map(non_edges.__getitem__, picks))
     raise AssertionError("unreachable: the complete graph is proper interval")
 
 
 def _first_picks(
-    masks: list[int], n: int, non_edges: tuple[Edge, ...], inc: list[int], p: int, rem: int, need: int
+    masks: list[int], n: int, non_edges: tuple[Edge, ...], inc: list[int], p: int, rem: int, held: list[int]
 ) -> tuple[int, ...] | None:
     """Lexicographically first ``rem`` ascending non-edge indices from p on whose
     edges, added to ``masks``, pass ``pig_mask_check``; None if there are none.
 
-    ``need`` holds the bits of NE(O) for an induced claw or C4 on O in
-    ``masks`` (every index when there is none), or 0 when it is still to be
-    found.  ``masks`` is restored before returning.
+    ``held`` lists the non-edge index sets of induced claws and C4s of
+    ``masks`` that are pairwise disjoint from p on.  A node extends it with
+    ``_packing`` and skips every branch that cannot hit each set.  A set that
+    the next pick misses keeps its obstruction induced, so the child inherits
+    it; a set with no index left is a dead branch, and so is a packing larger
+    than ``rem``.  The next pick hits or precedes every set, so it is at most
+    the smallest top index of a set.  With exactly ``rem`` sets each pick
+    must hit a different one, so indices in no set are skipped.  Only
+    branches without a passing subset are cut and the picks ascend, so the
+    answer is the lexicographically first one.  ``masks`` is restored before
+    returning.
     """
     if rem == 0:
-        return () if pig_mask_check(masks, n) else None
-    total = len(non_edges)
-    if not need:
-        ob = _claw_or_c4(masks, n)
-        need = (1 << total) - 1 if ob is None else _non_edges_inside(ob, inc)
-    live = need >> p << p
-    if not live:
+        return None if held or not pig_mask_check(masks, n) else ()
+    held = _packing(masks, n, non_edges, inc, p, held, rem)
+    if held is None:
         return None
-    for e in range(p, min(live.bit_length() - 1, total - rem) + 1):
-        hit = need >> e & 1
-        if rem == 1 and not hit:
+    last = len(non_edges) - rem
+    hit = 0
+    for s in held:
+        last = min(last, s.bit_length() - 1)
+        hit |= s
+    if len(held) < rem:
+        hit = -1  # any index may be picked
+    for e in range(p, last + 1):
+        if not hit >> e & 1:
             continue
         u, v = non_edges[e]
         masks[u] ^= 1 << v
         masks[v] ^= 1 << u
-        rest = _first_picks(masks, n, non_edges, inc, e + 1, rem - 1, 0 if hit else need)
+        rest = _first_picks(masks, n, non_edges, inc, e + 1, rem - 1, [s for s in held if not s >> e & 1])
         masks[u] ^= 1 << v
         masks[v] ^= 1 << u
         if rest is not None:
             return (e, *rest)
     return None
+
+
+def _packing(
+    masks: list[int], n: int, non_edges: tuple[Edge, ...], inc: list[int], p: int, held: list[int], rem: int
+) -> list[int] | None:
+    """``held`` extended greedily by induced claws and C4s of ``masks`` whose
+    non-edges avoid the indices from p on that it holds; None once a set
+    added has no index from p on or the sets outnumber ``rem``.
+
+    Each added set holds only the indices from p on of its obstruction.
+    """
+    held = held.copy()
+    blocked = masks.copy()  # masks plus the held pairs: the finder's non-edges avoid both
+    taken = 0
+    for s in held:
+        taken |= s
+    taken = taken >> p << p
+    while True:
+        while taken:
+            low = taken & -taken
+            taken ^= low
+            u, v = non_edges[low.bit_length() - 1]
+            blocked[u] |= 1 << v
+            blocked[v] |= 1 << u
+        if len(held) > rem:
+            return None
+        found = _free_claw_or_c4(masks, blocked, n)
+        if found is None:
+            return held
+        taken = _non_edges_inside(found, inc) >> p << p
+        if not taken:
+            return None
+        held.append(taken)
 
 
 def _non_edges_inside(vertices: int, inc: list[int]) -> int:
@@ -128,14 +174,30 @@ def _non_edges_inside(vertices: int, inc: list[int]) -> int:
     return out
 
 
-def _claw_or_c4(masks, n: int) -> int | None:
-    """Vertex mask of an induced claw of the rows, else of an induced C4, else None."""
-    claw = _find_claw(masks, n)
-    if claw is not None:
-        c, a, b, d = claw
-        return 1 << c | 1 << a | 1 << b | 1 << d
+def _free_claw_or_c4(masks, blocked, n: int) -> int | None:
+    """Vertex mask of an induced claw of ``masks``, else of an induced C4, whose
+    non-edges are not in ``blocked``; None if there is none.
+
+    ``blocked`` holds ``masks`` and more pairs: edges are read from ``masks``,
+    non-edges from ``blocked``.  Claws come in order of (center, leaves), C4s
+    in order of the first vertex, its non-neighbour and their first common
+    neighbour.
+    """
+    for c in range(n):
+        rest = masks[c]
+        while rest:
+            a = rest & -rest
+            rest ^= a
+            cand_b = rest & ~blocked[a.bit_length() - 1]
+            while cand_b:
+                b = cand_b & -cand_b
+                cand_b ^= b
+                cand_d = cand_b & ~blocked[b.bit_length() - 1]
+                if cand_d:
+                    return 1 << c | a | b | (cand_d & -cand_d)
+    full = (1 << n) - 1
     for a in range(n):
-        far = ~masks[a] >> (a + 1) << (a + 1) & ((1 << n) - 1)
+        far = ~blocked[a] >> (a + 1) << (a + 1) & full
         while far:
             b = far & -far
             far ^= b
@@ -143,7 +205,7 @@ def _claw_or_c4(masks, n: int) -> int | None:
             while common:
                 x = common & -common
                 common ^= x
-                y = common & ~masks[x.bit_length() - 1]
+                y = common & ~blocked[x.bit_length() - 1]
                 if y:
                     return 1 << a | b | x | (y & -y)
     return None

@@ -434,6 +434,8 @@ def _recognition_rows(chunk: tuple[int, tuple[int, ...]], tables: list[bytes]) -
 
     Below the top size the chunk's membership entries are a slice of its
     size's table; at the top size they are built from the table below it.
+    Each graph is dropped at once, so the class recognizers are called
+    undecorated, without storing their certificates on it.
     """
     n, fixed = chunk
     start, count = _chunk_start(chunk), _chunk_size(n, len(fixed))
@@ -441,20 +443,24 @@ def _recognition_rows(chunk: tuple[int, tuple[int, ...]], tables: list[bytes]) -
         entries = tables[n][start : start + count]
     else:
         entries = _members(n, start, count, tables[n - 1])
+    sequence_of, forest_of, decomposition_of = (
+        getattr(fn, "__wrapped__", fn)
+        for fn in (threshold_creation_sequence, quasi_threshold_forest, caterpillar_decomposition)
+    )
     rows = [CheckRow(name) for name in _RECOGNITION_ROWS]
     thr, thr_replay, qt, qt_rebuild, pig, split, cater, cater_rebuild = rows
     for g, bits in zip(_chunk_graphs(chunk), entries):
-        seq = threshold_creation_sequence(g)
+        seq = sequence_of(g)
         thr.count((seq is not None) == bool(bits & _THRESHOLD))
         if seq is not None:
             thr_replay.count(replay_creation_sequence(seq) == g)
-        forest = quasi_threshold_forest(g)
+        forest = forest_of(g)
         qt.count((forest is not None) == bool(bits & _QT))
         if forest is not None:
             qt_rebuild.count(qt_forest_graph(forest) == g)
         pig.count(is_proper_interval(g).is_pig == bool(bits & _PIG))
         split.count((split_partition(g) is not None) == bool(bits & _SPLIT))
-        d = caterpillar_decomposition(g)
+        d = decomposition_of(g)
         is_tree = g.m == g.n - 1 and len(connected_components(g)) == 1
         cater.count((d is not None) == (is_tree and _has_dominating_path(g)), f"n={n}")
         if d is not None:

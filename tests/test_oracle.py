@@ -23,7 +23,7 @@ from pigfill import (
 )
 from pigfill import oracle, xcheck
 from pigfill.graph import strictly_ascending
-from pigfill.oracle import _CLASS4, _PAIRS4, FAMILIES, _claw_or_c4, _induced_cycle, _net_or_tent
+from pigfill.oracle import _CLASS4, _PAIRS4, FAMILIES, _free_claw_or_c4, _induced_cycle, _net_or_tent, _packing
 from pigfill.recognition import pig_mask_check
 from pigfill.xcheck import _all_graphs as _sweep_graphs, _chunk_graphs, _chunk_size, _sweep_chunks
 
@@ -136,6 +136,11 @@ class TestBruteMinPig:
         assert cost == 12  # C(4,2) + C(4,2): leaves split into two cliques of four
         assert fill == (*combinations(range(1, 5), 2), *combinations(range(5, 9), 2))
 
+    def test_star_k9(self):
+        cost, fill = brute_min_pig(_star(9), max_n=10)
+        assert cost == 16  # C(5,2) + C(4,2)
+        assert fill == (*combinations(range(1, 6), 2), *combinations(range(6, 10), 2))
+
     def test_fill_is_an_ascending_tuple_of_canonical_pairs(self):
         for g in _all_graphs(6):
             cost, fill = brute_min_pig(g)
@@ -164,15 +169,64 @@ class TestPrunedSearchMatchesPlain:
         assert brute_min_pig(_star(k)) == _plain_min_pig(_star(k))
 
 
-class TestClawOrC4:
-    def test_every_graph_up_to_5(self):
+def _quad(found):
+    return tuple(v for v in range(found.bit_length()) if found >> v & 1)
+
+
+class TestFreeClawOrC4:
+    def test_nothing_blocked_every_graph_up_to_5(self):
         for g in _all_graphs(5):
-            found = _claw_or_c4(list(g.masks), g.n)
+            masks = list(g.masks)
+            found = _free_claw_or_c4(masks, masks, g.n)
             if found is None:
                 assert not any(_is_claw_or_c4(g, q) for q in combinations(range(g.n), 4)), g
             else:
-                quad = tuple(v for v in range(g.n) if found >> v & 1)
+                quad = _quad(found)
                 assert len(quad) == 4 and _is_claw_or_c4(g, quad), (g, quad)
+
+    def test_blocked_pairs_are_avoided(self):
+        rng = random.Random(25)
+        for g in _all_graphs(6):
+            held = {pair for pair in non_edges_within(g, range(g.n)) if rng.random() < 0.3}
+            blocked = list(g.masks)
+            for u, v in held:
+                blocked[u] |= 1 << v
+                blocked[v] |= 1 << u
+            free = [
+                q
+                for q in combinations(range(g.n), 4)
+                if _is_claw_or_c4(g, q) and held.isdisjoint(combinations(q, 2))
+            ]
+            found = _free_claw_or_c4(list(g.masks), blocked, g.n)
+            if found is None:
+                assert not free, (g, held)
+            else:
+                assert _quad(found) in free, (g, held, _quad(found))
+
+
+class TestPackingBound:
+    """The root packing: disjoint obstructions, each needing a pick of its own."""
+
+    def test_root_packing_bounds_the_cost(self):
+        for g in _all_graphs(6):
+            non_edges = non_edges_within(g, range(g.n))
+            inc = [0] * g.n
+            for i, (u, v) in enumerate(non_edges):
+                inc[u] |= 1 << i
+                inc[v] |= 1 << i
+            packing = _packing(list(g.masks), g.n, non_edges, inc, 0, [], len(non_edges))
+            assert len(packing) <= brute_min_pig(g)[0], g
+            index = {pair: i for i, pair in enumerate(non_edges)}
+            obstructions = {
+                sum(1 << index[pair] for pair in combinations(q, 2) if pair in index)
+                for q in combinations(range(g.n), 4)
+                if _is_claw_or_c4(g, q)
+            }
+            union = 0
+            for s in packing:
+                assert s in obstructions, (g, s)  # the non-edges of an induced claw or C4
+                assert not union & s, (g, packing)
+                union |= s
 
 
 class TestBruteMinCobipartite:
