@@ -13,13 +13,15 @@ answer lies in them.  The other searches enumerate everything.  A ``max_n``
 budget makes the exponential cost explicit: inputs over budget are refused,
 never truncated.
 
-The forbidden-subgraph scans name a witness.  The hereditary membership
-tables answer only whether one exists, for every graph on n vertices at
-once.  A graph is free of a family's minimal obstructions iff each of its
-one-vertex deletions is and the whole graph is not one.  So each entry comes
-from the table of size n - 1 and the scans' own tests on the whole vertex set.
-The exhaustive recognition sweep reads these tables, and the tests hold them
-equal to the scans.
+Each forbidden induced subgraph is one edge list, and each family the shapes
+it forbids; a shape's labelled codes are built from its edges on first use.
+The scans walk one family at a time and name a witness: the first subset, by
+size and then lexicographically, whose code is one of the family's.  The
+hereditary membership tables answer only whether one exists, for every graph
+on n vertices at once.  A graph is free of a family's minimal obstructions
+iff each of its one-vertex deletions is and the whole graph is not one.  So
+each entry comes from the table of size n - 1 and a lookup of the graph's
+own code.  The recognition sweep reads them; the tests hold them to the scans.
 """
 
 from __future__ import annotations
@@ -282,54 +284,103 @@ def brute_max_cut(g: Graph, max_n: int = 20) -> tuple[int, Parts]:
 
 
 # ---------------------------------------------------------------------------
-# forbidden induced subgraph scans
+# forbidden induced subgraphs
 
 
-_PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_PATTERNS4 = {
+_MAX_SHAPE = 7  # the recognition sweep's limit; longer cycles are tested subset by subset
+
+# Each forbidden shape once, as its edges on the vertices 0, 1, ...; Ck is the chordless k-cycle.
+_CYCLES = {f"C{k}": tuple((i, (i + 1) % k) for i in range(k)) for k in range(4, _MAX_SHAPE + 1)}
+_SHAPES = {
     "2K2": ((0, 1), (2, 3)),
-    "C4": ((0, 1), (1, 2), (2, 3), (0, 3)),
     "P4": ((0, 1), (1, 2), (2, 3)),
     "claw": ((0, 1), (0, 2), (0, 3)),
+    "net": ((0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)),  # a triangle, a pendant at each corner
+    "tent": ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)),  # a triangle, an ear on each side
+    **_CYCLES,
 }
+_SIZE = {shape: 1 + max(map(max, edges)) for shape, edges in _SHAPES.items()}
 
-
-def _build_class4_table() -> dict[int, str]:
-    table: dict[int, str] = {}
-    pair_index = {p: i for i, p in enumerate(_PAIRS4)}
-    for name, edges in _PATTERNS4.items():
-        for perm in permutations(range(4)):
-            mask = 0
-            for u, v in edges:
-                a, b = perm[u], perm[v]
-                mask |= 1 << pair_index[(a, b) if a < b else (b, a)]
-            table[mask] = name
-    return table
-
-
-_CLASS4 = _build_class4_table()
-
-FAMILIES = {
-    "threshold": ("2K2", "C4", "P4"),
-    "quasi-threshold": ("P4", "C4"),
-    "split": ("2K2", "C4", "C5"),
-    "pig": ("claw", "net", "tent", "chordless-cycle"),
-}
-
-# family -> {4-vertex class: the kind reported for it}; pig names its C4 a chordless cycle
-_QUAD_KINDS = {
+# Each family once: the shapes it forbids, each with the kind its witness
+# reports.  A family that forbids the longest cycle here forbids every
+# longer one too (pig: all chordless cycles).
+_FORBIDS = {
     "threshold": {"2K2": "2K2", "C4": "C4", "P4": "P4"},
     "quasi-threshold": {"P4": "P4", "C4": "C4"},
-    "split": {"2K2": "2K2", "C4": "C4"},
-    "pig": {"claw": "claw", "C4": "chordless-cycle"},
+    "split": {"2K2": "2K2", "C4": "C4", "C5": "C5"},
+    "pig": {"claw": "claw", "net": "net", "tent": "tent", **dict.fromkeys(_CYCLES, "chordless-cycle")},
 }
+
+FAMILIES = {family: tuple(dict.fromkeys(kinds.values())) for family, kinds in _FORBIDS.items()}
+
+
+@cache
+def _shape_codes(k: int) -> dict[int, str]:
+    """Code -> shape, for every labelling of every shape on k vertices.
+
+    Bit i of a code is pair i of ``combinations(range(k), 2)``.  The codes are
+    built from the edge lists by the k! permutations when first asked for, so
+    importing the package builds none.
+    """
+    bit = {}
+    for i, (a, b) in enumerate(combinations(range(k), 2)):
+        bit[a, b] = bit[b, a] = 1 << i
+    shapes = [(shape, edges) for shape, edges in _SHAPES.items() if _SIZE[shape] == k]
+    return {sum(bit[p[u], p[v]] for u, v in edges): shape for shape, edges in shapes for p in permutations(range(k))}
+
+
+@cache
+def _family_codes(family: str, k: int) -> tuple[dict[int, str], frozenset[int]]:
+    """Code -> kind for the family's shapes on k vertices, and their codes cut to the first k - 1 positions."""
+    kinds = _FORBIDS[family]
+    codes = {code: kinds[shape] for code, shape in _shape_codes(k).items() if shape in kinds}
+    head = sum(bit for _, _, bit in _code_bits(k)[0])
+    return codes, frozenset(code & head for code in codes)
+
+
+@cache
+def _code_bits(k: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """(i, j, code bit) for the pairs i < j < k - 1, then the code bits of the pairs (i, k - 1)."""
+    pairs = list(enumerate(combinations(range(k), 2)))
+    return tuple((i, j, 1 << b) for b, (i, j) in pairs if j < k - 1), tuple(1 << b for b, (_, j) in pairs if j == k - 1)
+
+
+Witness = tuple[str, tuple[int, ...]]
+
+
+def _first_subset(masks: tuple[int, ...], n: int, k: int, family: str) -> Witness | None:
+    """First k-subset, in lexicographic order, that induces one of the family's shapes, with its kind.
+
+    A subset v_0 < ... < v_(k-1) has the code bit of pair (i, j) iff v_i v_j
+    is an edge.  The bits among the first k - 1 vertices are read once per
+    prefix, and a prefix that no shape starts with is not extended.
+    """
+    kinds, heads = _family_codes(family, k)
+    head, last = _code_bits(k)
+    for prefix in combinations(range(n - 1), k - 1):
+        rows = [masks[u] for u in prefix]
+        code = 0
+        for i, j, bit in head:
+            if rows[i] >> prefix[j] & 1:
+                code |= bit
+        if code not in heads:
+            continue
+        row_bits = list(zip(rows, last))
+        for v in range(prefix[-1] + 1, n):
+            c = code
+            for row, bit in row_bits:
+                if row >> v & 1:
+                    c |= bit
+            if c in kinds:
+                return kinds[c], (*prefix, v)
+    return None
 
 
 def _induced_cycle(masks: tuple[int, ...], subset: tuple[int, ...]) -> bool:
+    """The subset induces one chordless cycle: every degree is 2 and it is connected."""
     smask = sum(1 << v for v in subset)
-    for v in subset:
-        if (masks[v] & smask).bit_count() != 2:
-            return False
+    if any((masks[v] & smask).bit_count() != 2 for v in subset):
+        return False
     seen = 1 << subset[0]
     frontier = [subset[0]]
     while frontier:
@@ -343,123 +394,44 @@ def _induced_cycle(masks: tuple[int, ...], subset: tuple[int, ...]) -> bool:
     return seen == smask
 
 
-def _net_or_tent(masks: tuple[int, ...], subset: tuple[int, ...]) -> str | None:
-    smask = sum(1 << v for v in subset)
-    degs = sorted((masks[v] & smask).bit_count() for v in subset)
-    if degs == [1, 1, 1, 3, 3, 3]:
-        want_triangle, want_other, kind = 3, 1, "net"
-    elif degs == [2, 2, 2, 4, 4, 4]:
-        want_triangle, want_other, kind = 4, 2, "tent"
-    else:
-        return None
-    tri = [v for v in subset if (masks[v] & smask).bit_count() == want_triangle]
-    rest = [v for v in subset if (masks[v] & smask).bit_count() == want_other]
-    for a, b in combinations(tri, 2):
-        if not masks[a] >> b & 1:
-            return None
-    for a, b in combinations(rest, 2):
-        if masks[a] >> b & 1:
-            return None
-    attach = [tuple(sorted(t for t in tri if masks[w] >> t & 1)) for w in rest]
-    if kind == "net":
-        if sorted(len(a) for a in attach) != [1, 1, 1] or len(set(attach)) != 3:
-            return None
-    else:
-        if sorted(len(a) for a in attach) != [2, 2, 2] or len(set(attach)) != 3:
-            return None
-    return kind
-
-
-Witness = tuple[str, tuple[int, ...]]
-
-
-@cache
-def _quad_closers(families: tuple[str, ...]) -> tuple[tuple[tuple[str, str], ...], ...]:
-    """Quad pattern -> the (family, kind) pairs among ``families`` its class closes."""
-    return tuple(
-        tuple((fam, _QUAD_KINDS[fam][cls]) for fam in families if cls in _QUAD_KINDS[fam])
-        for cls in map(_CLASS4.get, range(64))
-    )
-
-
-def _scan_quads(masks: tuple[int, ...], n: int, found: dict[str, Witness | None]) -> None:
-    """Record in ``found`` each open family's first quad witness, in lexicographic order.
-
-    A quad's 6-bit pattern is read from the rows (bit i for ``_PAIRS4[i]``),
-    the part fixed by its first two or three vertices once per prefix.
-    """
-    closers = _quad_closers(tuple(found))
-    for a in range(n):
-        ra = masks[a]
-        for b in range(a + 1, n):
-            rb = masks[b]
-            p2 = ra >> b & 1
-            for c in range(b + 1, n):
-                rc = masks[c]
-                p3 = p2 | (ra >> c & 1) << 1 | (rb >> c & 1) << 3
-                for d in range(c + 1, n):
-                    hit = closers[p3 | (ra >> d & 1) << 2 | (rb >> d & 1) << 4 | (rc >> d & 1) << 5]
-                    if hit:
-                        for fam, kind in hit:
-                            found[fam] = kind, (a, b, c, d)
-                        still_open = tuple(f for f, w in found.items() if w is None)
-                        if not still_open:
-                            return
-                        closers = _quad_closers(still_open)
-
-
-def forbidden_subgraph_scans(
-    g: Graph, families: Iterable[str] = tuple(FAMILIES)
-) -> dict[str, Witness | None]:
-    """First induced forbidden subgraph of each family, in lexicographic subset order.
-
-    Families: ``threshold`` {2K2, C4, P4}; ``quasi-threshold`` {P4, C4};
-    ``split`` {2K2, C4, C5}; ``pig`` {claw, net, tent} plus chordless cycles of
-    any length (so an empty scan is exactly proper-interval membership).  A
-    family's witness is ``(kind, vertices)``, or None when the graph has none.
-
-    The 4-subsets are walked once for all families; 5-subsets only while split
-    or pig is open, one cycle test serving both, and larger subsets only for pig.
-    """
-    found: dict[str, Witness | None] = {}
-    for family in families:
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-        found[family] = None
-    n = g.n
-    masks = g.masks
-    _scan_quads(masks, n, found)
-    fives = [fam for fam in ("split", "pig") if fam in found and found[fam] is None]
-    if fives and n >= 5:
-        for five in combinations(range(n), 5):
-            if _induced_cycle(masks, five):
-                for fam in fives:
-                    found[fam] = ("C5" if fam == "split" else "chordless-cycle"), five
-                break
-    if "pig" in found and found["pig"] is None:
-        found["pig"] = _pig_large_subsets(masks, n)
-    return found
-
-
-def _pig_large_subsets(masks: tuple[int, ...], n: int) -> Witness | None:
-    """First net, tent or chordless cycle on six or more vertices (net/tent first at six)."""
-    for size in range(6, n + 1):
-        for subset in combinations(range(n), size):
-            if size == 6:
-                kind = _net_or_tent(masks, subset)
-                if kind is not None:
-                    return kind, subset
-            if _induced_cycle(masks, subset):
-                return "chordless-cycle", subset
-    return None
-
-
 WITNESS_CAP = 64  # the scans are quartic: recognizers skip them on larger rejected inputs
 
 
 def forbidden_subgraph_scan(g: Graph, family: str) -> Witness | None:
-    """First induced forbidden subgraph for one family; see ``forbidden_subgraph_scans``."""
-    return forbidden_subgraph_scans(g, (family,))[family]
+    """First induced forbidden subgraph of one family, in lexicographic subset order.
+
+    Families: ``threshold`` {2K2, C4, P4}; ``quasi-threshold`` {P4, C4};
+    ``split`` {2K2, C4, C5}; ``pig`` {claw, net, tent} plus chordless cycles of
+    any length (so an empty scan is exactly proper-interval membership).  The
+    witness is ``(kind, vertices)``, or None when the graph has none.
+
+    The subsets are walked by size, over the sizes of the family's shapes, and
+    looked up by their codes; pig's cycles past ``_MAX_SHAPE`` vertices are
+    tested subset by subset.
+    """
+    kinds = _FORBIDS.get(family)
+    if kinds is None:
+        raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
+    n, masks = g.n, g.masks
+    for k in sorted({_SIZE[shape] for shape in kinds}):
+        found = _first_subset(masks, n, k, family)
+        if found is not None:
+            return found
+    cycle = kinds.get(f"C{_MAX_SHAPE}")
+    if cycle is not None:
+        for k in range(_MAX_SHAPE + 1, n + 1):
+            for subset in combinations(range(n), k):
+                if _induced_cycle(masks, subset):
+                    return cycle, subset
+    return None
+
+
+def forbidden_subgraph_scans(g: Graph, families: Iterable[str] = tuple(FAMILIES)) -> dict[str, Witness | None]:
+    """``forbidden_subgraph_scan`` of each family, keyed by family; an unknown family is refused before any scan."""
+    families = tuple(families)
+    if unknown := [family for family in families if family not in FAMILIES]:
+        raise ValueError(f"unknown family {unknown[0]!r}; choose from {sorted(FAMILIES)}")
+    return {family: forbidden_subgraph_scan(g, family) for family in families}
 
 
 # ---------------------------------------------------------------------------
@@ -467,47 +439,23 @@ def forbidden_subgraph_scan(g: Graph, family: str) -> Witness | None:
 
 
 # A membership entry holds one bit per family, set iff the graph has no
-# induced obstruction of it: iff ``forbidden_subgraph_scans`` finds no witness.
-_THRESHOLD, _QT, _SPLIT, _PIG = 1, 2, 4, 8
-_ALL = _THRESHOLD | _QT | _SPLIT | _PIG
-_FAMILY_BITS = {"threshold": _THRESHOLD, "quasi-threshold": _QT, "split": _SPLIT, "pig": _PIG}
-
-# graph k on 4 vertices (its code is its ``_CLASS4`` pattern) -> the families it is an obstruction of
-_QUAD_BITS = tuple(
-    sum(bit for fam, bit in _FAMILY_BITS.items() if cls in _QUAD_KINDS[fam]) for cls in map(_CLASS4.get, range(64))
-)
+# induced obstruction of it: iff ``forbidden_subgraph_scan`` finds no witness.
+_FAMILY_BITS = {family: 1 << i for i, family in enumerate(_FORBIDS)}
+_THRESHOLD, _QT, _SPLIT, _PIG = _FAMILY_BITS.values()
+_ALL = sum(_FAMILY_BITS.values())
 
 
-def _whole_set_bits(pairs: list[Edge], n: int, k: int, open_bits: int) -> int:
-    """The families among ``open_bits`` of which graph k on n vertices is itself an obstruction.
-
-    Graph k has ``pairs[i]`` iff bit i of k is set.  Only the whole vertex
-    set is tested, with the scans' own tests: its 4-vertex class; a chordless
-    cycle, which at n = 5 is split's C5 as well; a net or tent at n = 6.  A
-    chordless n-cycle has n edges and a tent 9 (a net has 6), so other edge
-    counts skip the tests.
-    """
-    if n == 4:
-        return _QUAD_BITS[k] & open_bits
-    m = k.bit_count()
-    bits = open_bits & (_SPLIT | _PIG if n == 5 else _PIG)  # the open families with obstructions this large
-    if n < 5 or not bits or m != n and not (n == 6 and m == 9):
-        return 0
-    masks = [0] * n
-    while k:
-        low = k & -k
-        u, v = pairs[low.bit_length() - 1]
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-        k ^= low
-    everything = tuple(range(n))
-    if m == n and _induced_cycle(masks, everything) or n == 6 and _net_or_tent(masks, everything):
-        return bits
-    return 0
+@cache
+def _obstruction_bits(n: int) -> dict[int, int]:
+    """Code of each obstruction on n vertices -> the bits of the families it is one of."""
+    return {
+        code: sum(bit for family, bit in _FAMILY_BITS.items() if shape in _FORBIDS[family])
+        for code, shape in _shape_codes(n).items()
+    }
 
 
 def _members(n: int, start: int, count: int, below: bytes) -> bytes:
-    """Membership entries of graphs start, ..., start + count - 1 on n vertices.
+    """Membership entries of graphs start, ..., start + count - 1 on n <= ``_MAX_SHAPE`` vertices.
 
     Graph k has pair i of ``combinations(range(n), 2)`` iff bit i of k is
     set.  ``below`` is the table of size n - 1, and count is a power of two
@@ -516,7 +464,8 @@ def _members(n: int, start: int, count: int, below: bytes) -> bytes:
     one itself.  g - v keeps the pairs that miss v in their order, so its
     code packs those bits of k downwards.  Per v, the codes of the block's
     deletions are built by doubling over the free low bits, looked up as one
-    byte string and ANDed with the others as one integer.
+    byte string and ANDed with the others as one integer.  Then the block's
+    obstructions, looked up by code, drop their families' bits.
     """
     pairs = list(combinations(range(n), 2))
     inherited = int.from_bytes(bytes([_ALL]) * count, "little")
@@ -531,10 +480,11 @@ def _members(n: int, start: int, count: int, below: bytes) -> bytes:
             else:
                 codes += codes
         inherited &= int.from_bytes(bytes(map(below.__getitem__, codes)), "little")
-    return bytes(
-        bits & ~_whole_set_bits(pairs, n, start + p, bits) if bits else 0
-        for p, bits in enumerate(inherited.to_bytes(count, "little"))
-    )
+    entries = bytearray(inherited.to_bytes(count, "little"))
+    for code, bits in _obstruction_bits(n).items():
+        if start <= code < start + count:
+            entries[code - start] &= ~bits
+    return bytes(entries)
 
 
 def _member_tables(top: int) -> list[bytes]:

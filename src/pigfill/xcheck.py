@@ -13,8 +13,8 @@ Its reference answers come from the oracle's hereditary membership tables,
 not from a subset scan per graph.  Each call builds the tables of the sizes
 below the top one before it forks.  Each top-size chunk builds its own
 entries from the table below.  The word "scan" in the row names means the
-tables' answer, which the tests hold equal to
-``oracle.forbidden_subgraph_scans``.
+tables' answer, which the tests hold equal to ``oracle.forbidden_subgraph_scan``
+of each family; both read the oracle's one table of forbidden shapes.
 """
 
 from __future__ import annotations

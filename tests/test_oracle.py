@@ -3,8 +3,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 import warnings
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +26,7 @@ from pigfill import (
 )
 from pigfill import oracle, xcheck
 from pigfill.graph import strictly_ascending
-from pigfill.oracle import _CLASS4, _PAIRS4, FAMILIES, _free_claw_or_c4, _induced_cycle, _net_or_tent, _packing
+from pigfill.oracle import FAMILIES, _free_claw_or_c4, _packing
 from pigfill.recognition import pig_mask_check
 from pigfill.xcheck import _all_graphs as _sweep_graphs, _chunk_graphs, _chunk_size, _sweep_chunks
 
@@ -46,57 +49,76 @@ def _plain_min_pig(g):
     raise AssertionError("unreachable: the complete graph is proper interval")
 
 
-def _subset_mask4(masks, quad):
-    mask = 0
-    for i, (a, b) in enumerate(_PAIRS4):
-        if masks[quad[a]] >> quad[b] & 1:
-            mask |= 1 << i
-    return mask
+# The forbidden shapes, written here apart from the oracle's table, on the
+# vertices 0..k-1; chordless cycles are recognized by their degrees instead.
+_TRIANGLE = ((0, 1), (0, 2), (1, 2))
+_PLAIN_SHAPES = {
+    "2K2": ((0, 1), (2, 3)),
+    "P4": ((0, 1), (1, 2), (2, 3)),
+    "claw": ((0, 1), (0, 2), (0, 3)),
+    "net": _TRIANGLE + ((0, 3), (1, 4), (2, 5)),  # a pendant at each corner
+    "tent": _TRIANGLE + ((0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)),  # a vertex on each side
+}
+
+# family -> {shape: the kind its witness reports}; Ck is the chordless k-cycle, up to the samples' n = 9
+_PLAIN_KINDS = {
+    "threshold": {"2K2": "2K2", "C4": "C4", "P4": "P4"},
+    "quasi-threshold": {"P4": "P4", "C4": "C4"},
+    "split": {"2K2": "2K2", "C4": "C4", "C5": "C5"},
+    "pig": {"claw": "claw", "net": "net", "tent": "tent", **{f"C{k}": "chordless-cycle" for k in range(4, 10)}},
+}
 
 
-def _plain_scan(g, family):
-    """Reference for ``forbidden_subgraph_scans``: one family at a time, each
-    with its own walk over the subsets in lexicographic order."""
-    wanted = FAMILIES[family]
+@cache
+def _plain_forms(k):
+    """Edge tuple on 0..k-1 -> shape, for every labelling of the shapes above on k vertices."""
+    forms = {}
+    for shape, edges in _PLAIN_SHAPES.items():
+        if 1 + max(map(max, edges)) == k:
+            for perm in permutations(range(k)):
+                forms[tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))] = shape
+    return forms
+
+
+def _plain_cycle(edges, k):
+    """``Ck`` if the k edges on 0..k-1 form one cycle through all k vertices, else None."""
+    ends = [v for edge in edges for v in edge]
+    if any(ends.count(v) != 2 for v in range(k)):
+        return None
+    # every degree is 2: disjoint cycles, and one cycle iff the walk from 0 sees all k
+    seen, prev, v = 1, None, 0
+    while True:
+        prev, v = v, next(w for e in edges if v in e for w in e if w not in (v, prev))
+        if v == 0:
+            return f"C{k}" if seen == k else None
+        seen += 1
+
+
+def _plain_scans(g):
+    """Reference for ``forbidden_subgraph_scans``: one walk over the subsets in
+    lexicographic order by size, with the edges read through ``has_edge``;
+    each family keeps the first subset that induces one of its shapes."""
     n = g.n
-    masks = g.masks
-    if family in ("threshold", "quasi-threshold"):
-        for quad in combinations(range(n), 4):
-            kind = _CLASS4.get(_subset_mask4(masks, quad))
-            if kind in wanted:
-                return kind, quad
-        return None
-    if family == "split":
-        for quad in combinations(range(n), 4):
-            kind = _CLASS4.get(_subset_mask4(masks, quad))
-            if kind in ("2K2", "C4"):
-                return kind, quad
-        for five in combinations(range(n), 5):
-            if _induced_cycle(masks, five):
-                return "C5", five
-        return None
-    for quad in combinations(range(n), 4):
-        kind = _CLASS4.get(_subset_mask4(masks, quad))
-        if kind == "claw":
-            return "claw", quad
-        if kind == "C4":
-            return "chordless-cycle", quad
-    for size in range(5, n + 1):
-        for subset in combinations(range(n), size):
-            if size == 6:
-                kind = _net_or_tent(masks, subset)
-                if kind is not None:
-                    return kind, subset
-            if _induced_cycle(masks, subset):
-                return "chordless-cycle", subset
-    return None
+    adjacent = {pair for pair in combinations(range(n), 2) if g.has_edge(*pair)}
+    found = dict.fromkeys(_PLAIN_KINDS)
+    for k in range(4, n + 1):
+        if None not in found.values() or k > 5 and found["pig"] is not None:
+            break  # only pig forbids shapes on more than five vertices
+        pairs = tuple(combinations(range(k), 2))
+        forms = _plain_forms(k)
+        for subset in combinations(range(n), k):
+            edges = tuple([(i, j) for i, j in pairs if (subset[i], subset[j]) in adjacent])
+            shape = forms.get(edges) or len(edges) == k and _plain_cycle(edges, k)
+            for family, kinds in _PLAIN_KINDS.items():
+                if found[family] is None and shape in kinds:
+                    found[family] = kinds[shape], subset
+    return found
 
 
 def _all_graphs(max_n):
+    """Every labelled graph with 1 <= n <= max_n, as the recognition sweep enumerates them."""
     for n in range(1, max_n + 1):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            yield build_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        yield from _sweep_graphs(n)
 
 
 def _star(k):
@@ -377,6 +399,62 @@ class TestForbiddenScan:
         assert forbidden_subgraph_scans(claw, []) == {}
 
 
+class TestShapeTable:
+    """The oracle's shape table against counts and degrees worked out by hand."""
+
+    # shape -> (its labellings, k! / |Aut|; its sorted degrees)
+    _EXPECTED = {
+        "2K2": (3, [1, 1, 1, 1]),
+        "C4": (3, [2, 2, 2, 2]),
+        "P4": (12, [1, 1, 2, 2]),
+        "claw": (4, [1, 1, 1, 3]),
+        "C5": (12, [2] * 5),
+        "net": (120, [1, 1, 1, 3, 3, 3]),
+        "tent": (120, [2, 2, 2, 4, 4, 4]),
+        "C6": (60, [2] * 6),
+        "C7": (360, [2] * 7),
+    }
+
+    def test_codes_of_each_shape(self):
+        codes = {}
+        for k in range(8):
+            for code, shape in oracle._shape_codes(k).items():
+                codes.setdefault(shape, []).append((k, code))
+        assert set(codes) == set(self._EXPECTED)
+        for shape, (labellings, degrees) in self._EXPECTED.items():
+            assert len(codes[shape]) == labellings, shape
+            for k, code in codes[shape]:
+                edges = [pair for i, pair in enumerate(combinations(range(k), 2)) if code >> i & 1]
+                assert len(edges) == sum(degrees) // 2, (shape, code)
+                assert sorted(sum(v in edge for edge in edges) for v in range(k)) == degrees, (shape, code)
+
+    def test_no_code_names_two_shapes(self):
+        labelled = {}  # labelled edge set -> the shapes it is a labelling of
+        for shape, edges in oracle._SHAPES.items():
+            k = 1 + max(map(max, edges))
+            for perm in permutations(range(k)):
+                key = k, frozenset(frozenset((perm[u], perm[v])) for u, v in edges)
+                labelled.setdefault(key, set()).add(shape)
+        assert all(len(shapes) == 1 for shapes in labelled.values())
+        assert sum(map(len, map(oracle._shape_codes, range(8)))) == len(labelled)
+
+    def test_families(self):
+        assert FAMILIES == {
+            "threshold": ("2K2", "C4", "P4"),
+            "quasi-threshold": ("P4", "C4"),
+            "split": ("2K2", "C4", "C5"),
+            "pig": ("claw", "net", "tent", "chordless-cycle"),
+        }
+
+    def test_import_builds_no_codes(self):
+        # start-up stays as cheap as before: the codes are built on a first scan or table
+        script = "import pigfill.cli; from pigfill import oracle; print(oracle._shape_codes.cache_info().currsize)"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr
+
+
 class TestExhaustiveSweep:
     def test_sweep_graphs_match_pair_mask_enumeration(self):
         for n in range(7):
@@ -402,7 +480,7 @@ class TestExhaustiveSweep:
 
     def _assert_scans_match_plain(self, graphs, one_family):
         for g in graphs:
-            want = {f: _plain_scan(g, f) for f in FAMILIES}
+            want = _plain_scans(g)
             assert forbidden_subgraph_scans(g) == want, g
             if one_family:
                 for f in FAMILIES:
@@ -529,9 +607,12 @@ class TestRecognitionSweep:
 
     def test_no_table_outlives_a_call(self, monkeypatch):
         # below the top size every entry comes from the call's tables, so a
-        # table kept from the first call would hide the patched cycle rule
+        # table kept from the first call would hide the patched lookup
         first = [row.line() for row in xcheck.xcheck_recognition(max_n=6)]
-        monkeypatch.setattr(oracle, "_induced_cycle", lambda masks, subset: False)
+        real = oracle._obstruction_bits
+        monkeypatch.setattr(
+            oracle, "_obstruction_bits", lambda n: {c: b for c, b in real(n).items() if oracle._shape_codes(n)[c] != "C5"}
+        )
         patched = xcheck.xcheck_recognition(max_n=6)
         split = patched[xcheck._RECOGNITION_ROWS.index("split recognizer == {2K2, C4, C5} scan")]
         assert split.failures > 0

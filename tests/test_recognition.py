@@ -25,7 +25,9 @@ from pigfill import (
 )
 from pigfill import recognition
 from pigfill.generators import gen_caterpillar, gen_split, gen_threshold
+from pigfill.graph import Graph
 from pigfill.recognition import SplitPartition
+from pigfill.xcheck import _all_graphs
 
 # Independent checkers for the recognizer's certificates; they read the graph
 # through has_edge only.
@@ -63,12 +65,6 @@ def assert_forbidden_witness(g, kind, witness):
     want = {frozenset(p) for p in _pattern_edges(kind, k)}
     for i, j in combinations(range(k), 2):
         assert g.has_edge(witness[i], witness[j]) == (frozenset((i, j)) in want), (kind, witness)
-
-
-def _all_graphs(n):
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 class TestProperInterval:
@@ -341,7 +337,8 @@ class TestSplitRecognizer:
         assert part.clique == (0, 1) and part.independent == ()
 
     def test_matches_mask_reference_without_building_rows(self):
-        graphs = [g for n in range(7) for g in _all_graphs(n)]
+        # fresh graphs on the sweep's neighbour tuples: the sweep caches the rows
+        graphs = [Graph(g.n, g.neighbors) for n in range(7) for g in _all_graphs(n)]
         graphs += [gen_split(1 + i % 40, seed=i)[0] for i in range(500)]
         for g in graphs:
             part = split_partition(g)
