@@ -6,12 +6,14 @@ oracle tests candidates with ``recognition.pig_mask_check``, the claw,
 chordless-cycle, net and tent search that the proper-interval recognizer runs
 only to name the witness of a rejection.  The recognizer's accept path, the
 3-sweep LexBFS umbrella order, is not shared, and the claws and C4s the
-oracle prunes by come from its own finder.  The PIG oracle skips only
+oracle prunes by come from its own finders.  The PIG oracle skips only
 branches with fewer picks left than it has induced claws and chordless C4s
 with pairwise disjoint non-edge sets, or that leave one of them unfixed; no
-answer lies in them.  The other searches enumerate everything.  A ``max_n``
-budget makes the exponential cost explicit: inputs over budget are refused,
-never truncated.
+answer lies in them.  It scans the whole graph for them at the root only:
+each child of a search node looks for new ones only through the pair just
+picked and the pairs its parent's packing stopped blocking.  The other
+searches enumerate everything.  A ``max_n`` budget makes the exponential
+cost explicit: inputs over budget are refused, never truncated.
 
 Each forbidden induced subgraph is one edge list, and each family the shapes
 it forbids; a shape's labelled codes are built from its edges on first use.
@@ -66,9 +68,11 @@ def brute_min_pig(g: Graph, max_n: int = 8) -> tuple[int, tuple[Edge, ...]]:
     disjoint need a pick each (as in the bounded search of Kaplan, Shamir and
     Tarjan, SIAM J. Comput. 28, 1999).  A greedy packing of them is a lower
     bound on the picks left; the packing of G is one on the cost, so k starts
-    there.  Picks are tried in ascending order and no skipped branch holds a
-    passing subset, so the first subset accepted is the one plain enumeration
-    would return.
+    there.  G's packing comes from a scan of the whole graph; every node
+    below keeps its packing maximal by looking only around the pairs that
+    changed since its parent.  Picks are tried in ascending order and no
+    skipped branch holds a passing subset, so the first subset accepted is
+    the one plain enumeration would return.
     """
     _require(g.n, max_n, "brute_min_pig")
     n = g.n
@@ -80,14 +84,14 @@ def brute_min_pig(g: Graph, max_n: int = 8) -> tuple[int, tuple[Edge, ...]]:
     masks = list(g.masks)
     packing = _packing(masks, n, non_edges, inc, 0, [], len(non_edges))
     for k in range(len(packing), len(non_edges) + 1):
-        picks = _first_picks(masks, n, non_edges, inc, 0, k, packing)
+        picks = _first_picks(masks, n, non_edges, inc, 0, k, packing, 0)
         if picks is not None:
             return k, tuple(map(non_edges.__getitem__, picks))
     raise AssertionError("unreachable: the complete graph is proper interval")
 
 
 def _first_picks(
-    masks: list[int], n: int, non_edges: tuple[Edge, ...], inc: list[int], p: int, rem: int, held: list[int]
+    masks: list[int], n: int, non_edges: tuple[Edge, ...], inc: list[int], p: int, rem: int, held: list[int], fresh: int
 ) -> tuple[int, ...] | None:
     """Lexicographically first ``rem`` ascending non-edge indices from p on whose
     edges, added to ``masks``, pass ``pig_mask_check``; None if there are none.
@@ -97,32 +101,41 @@ def _first_picks(
     ``_packing`` and skips every branch that cannot hit each set.  A set that
     the next pick misses keeps its obstruction induced, so the child inherits
     it; a set with no index left is a dead branch, and so is a packing larger
-    than ``rem``.  The next pick hits or precedes every set, so it is at most
-    the smallest top index of a set.  With exactly ``rem`` sets each pick
-    must hit a different one, so indices in no set are skipped.  Only
-    branches without a passing subset are cut and the picks ascend, so the
-    answer is the lexicographically first one.  ``masks`` is restored before
-    returning.
+    than ``rem``, at a leaf too.  The next pick hits or precedes every set, so
+    it is at most the smallest top index of a set.  With exactly ``rem`` sets
+    each pick must hit a different one, so indices in no set are skipped.
+    Only branches without a passing subset are cut and the picks ascend, so
+    the answer is the lexicographically first one.  ``masks`` is restored
+    before returning.
+
+    Every packing a node returns is maximal: each claw and C4 meets a held pair.
+    So after the pick e, a claw or C4 that the child's sets leave free holds
+    the new edge or a pair that the child no longer blocks: a pair of the set
+    e hits, or a held pair with index from p to e.  Those indices are the
+    child's ``fresh``, the only pairs its ``_packing`` looks around; the root
+    passes 0, since the caller's packing is maximal already.
     """
-    if rem == 0:
-        return None if held or not pig_mask_check(masks, n) else ()
-    held = _packing(masks, n, non_edges, inc, p, held, rem)
+    held = _packing(masks, n, non_edges, inc, p, held, rem, fresh)
     if held is None:
         return None
+    if rem == 0:
+        return () if pig_mask_check(masks, n) else None
     last = len(non_edges) - rem
-    hit = 0
+    live = 0
     for s in held:
         last = min(last, s.bit_length() - 1)
-        hit |= s
-    if len(held) < rem:
-        hit = -1  # any index may be picked
+        live |= s
+    live = live >> p << p
+    hit = live if len(held) == rem else -1  # with fewer sets, any index may be picked
     for e in range(p, last + 1):
         if not hit >> e & 1:
             continue
         u, v = non_edges[e]
+        owner = next((s for s in held if s >> e & 1), 0)  # the set e hits, if any
+        fresh = live & (owner | (2 << e) - 1) | 1 << e
         masks[u] ^= 1 << v
         masks[v] ^= 1 << u
-        rest = _first_picks(masks, n, non_edges, inc, e + 1, rem - 1, [s for s in held if not s >> e & 1])
+        rest = _first_picks(masks, n, non_edges, inc, e + 1, rem - 1, [s for s in held if not s >> e & 1], fresh)
         masks[u] ^= 1 << v
         masks[v] ^= 1 << u
         if rest is not None:
@@ -131,13 +144,17 @@ def _first_picks(
 
 
 def _packing(
-    masks: list[int], n: int, non_edges: tuple[Edge, ...], inc: list[int], p: int, held: list[int], rem: int
+    masks: list[int], n: int, non_edges: tuple[Edge, ...], inc: list[int], p: int, held: list[int], rem: int, fresh: int | None = None
 ) -> list[int] | None:
     """``held`` extended greedily by induced claws and C4s of ``masks`` whose
     non-edges avoid the indices from p on that it holds; None once a set
     added has no index from p on or the sets outnumber ``rem``.
 
-    Each added set holds only the indices from p on of its obstruction.
+    Each added set holds only the indices from p on of its obstruction.  With
+    ``fresh`` None the whole graph is scanned.  Otherwise only claws and C4s
+    through a pair of ``non_edges`` with its index in ``fresh`` are looked
+    for (the pair may be an edge of ``masks``), so the packing returned is
+    maximal if every other claw and C4 meets a pair that ``held`` blocks.
     """
     held = held.copy()
     blocked = masks.copy()  # masks plus the held pairs: the finder's non-edges avoid both
@@ -154,7 +171,12 @@ def _packing(
             blocked[v] |= 1 << u
         if len(held) > rem:
             return None
-        found = _free_claw_or_c4(masks, blocked, n)
+        found = _free_claw_or_c4(masks, blocked, n) if fresh is None else None
+        while fresh:
+            found = _free_claw_or_c4_at(masks, blocked, *non_edges[(fresh & -fresh).bit_length() - 1])
+            if found is not None:
+                break
+            fresh &= fresh - 1
         if found is None:
             return held
         taken = _non_edges_inside(found, inc) >> p << p
@@ -190,27 +212,61 @@ def _free_claw_or_c4(masks, blocked, n: int) -> int | None:
         while rest:
             a = rest & -rest
             rest ^= a
-            cand_b = rest & ~blocked[a.bit_length() - 1]
-            while cand_b:
-                b = cand_b & -cand_b
-                cand_b ^= b
-                cand_d = cand_b & ~blocked[b.bit_length() - 1]
-                if cand_d:
-                    return 1 << c | a | b | (cand_d & -cand_d)
+            pair = _free_pair(blocked, rest & ~blocked[a.bit_length() - 1])
+            if pair:
+                return 1 << c | a | pair
     full = (1 << n) - 1
     for a in range(n):
         far = ~blocked[a] >> (a + 1) << (a + 1) & full
         while far:
             b = far & -far
             far ^= b
-            common = masks[a] & masks[b.bit_length() - 1]
-            while common:
-                x = common & -common
-                common ^= x
-                y = common & ~blocked[x.bit_length() - 1]
-                if y:
-                    return 1 << a | b | x | (y & -y)
+            pair = _free_pair(blocked, masks[a] & masks[b.bit_length() - 1])
+            if pair:
+                return 1 << a | b | pair
     return None
+
+
+def _free_claw_or_c4_at(masks, blocked, a: int, b: int) -> int | None:
+    """Vertex mask of an induced claw or C4 of ``masks`` that holds a and b and
+    whose non-edges are not in ``blocked``; None if there is none.
+
+    For an edge ab, a or b is the claw's centre or ab is a side of the C4;
+    for a non-edge, a and b are two leaves of the claw or opposite corners.
+    """
+    ab = 1 << a | 1 << b
+    if masks[a] >> b & 1:
+        by_a = masks[a] & ~blocked[b] & ~ab  # a's neighbours free of b: leaves of a claw at a, or a's C4 side
+        by_b = masks[b] & ~blocked[a] & ~ab
+        found = _free_pair(blocked, by_a) or _free_pair(blocked, by_b) or _linked(masks, by_b, by_a)
+    elif blocked[a] >> b & 1:
+        return None
+    else:
+        common = masks[a] & masks[b]  # claw centres and C4 corners
+        found = _linked(masks, common, ~(blocked[a] | blocked[b] | ab)) or _free_pair(blocked, common)
+    return ab | found if found else None
+
+
+def _free_pair(blocked, among: int) -> int:
+    """Mask of the first two vertices of ``among`` not in ``blocked`` together; 0 if none."""
+    while among:
+        y = among & -among
+        among ^= y
+        z = among & ~blocked[y.bit_length() - 1]
+        if z:
+            return y | z & -z
+    return 0
+
+
+def _linked(masks, among: int, to: int) -> int:
+    """Mask of the first vertex of ``among`` with a neighbour in ``to``, and of its first such neighbour; 0 if none."""
+    while among:
+        y = among & -among
+        among ^= y
+        z = masks[y.bit_length() - 1] & to
+        if z:
+            return y | z & -z
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import random
@@ -26,7 +27,7 @@ from pigfill import (
 )
 from pigfill import oracle, xcheck
 from pigfill.graph import strictly_ascending
-from pigfill.oracle import FAMILIES, _free_claw_or_c4, _packing
+from pigfill.oracle import FAMILIES, _free_claw_or_c4, _free_claw_or_c4_at, _packing
 from pigfill.recognition import pig_mask_check
 from pigfill.xcheck import _all_graphs as _sweep_graphs, _chunk_graphs, _chunk_size, _sweep_chunks
 
@@ -170,6 +171,13 @@ class TestBruteMinPig:
             assert all(0 <= u < v < g.n for u, v in fill), g
             assert strictly_ascending(fill), g
 
+    def test_answers_to_6_match_pinned_hash(self):
+        # one line of (cost, fill) per graph: a faster search must not move any answer or witness
+        lines = "".join(f"{brute_min_pig(g)}\n" for g in _all_graphs(6))
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "d48cc83ce3b9befbe86147c2f057ac403850cab358d057458300c7538d0af62e"
+        )
+
 
 class TestPrunedSearchMatchesPlain:
     """The pruned search returns exactly the plain enumeration's (cost, fill)."""
@@ -224,6 +232,58 @@ class TestFreeClawOrC4:
                 assert not free, (g, held)
             else:
                 assert _quad(found) in free, (g, held, _quad(found))
+
+
+class TestFreeClawOrC4At:
+    def test_matches_four_subsets_through_each_pair(self):
+        rng = random.Random(27)
+        for g in _all_graphs(6):
+            held = {pair for pair in non_edges_within(g, range(g.n)) if rng.random() < 0.3}
+            blocked = list(g.masks)
+            for u, v in held:
+                blocked[u] |= 1 << v
+                blocked[v] |= 1 << u
+            free = [
+                q
+                for q in combinations(range(g.n), 4)
+                if _is_claw_or_c4(g, q) and held.isdisjoint(combinations(q, 2))
+            ]
+            for a, b in permutations(range(g.n), 2):
+                through = [q for q in free if a in q and b in q]
+                found = _free_claw_or_c4_at(list(g.masks), blocked, a, b)
+                if found is None:
+                    assert not through, (g, held, a, b)
+                else:
+                    assert _quad(found) in through, (g, held, a, b, _quad(found))
+
+
+class TestSearchNodes:
+    """Every packing a search node returns is maximal, and a leaf cut before
+    ``pig_mask_check`` would have failed it."""
+
+    def test_packings_maximal_and_leaf_cuts_sound(self, monkeypatch):
+        seen = {"packings": 0, "cut leaves": 0}
+
+        def checked(masks, n, non_edges, inc, p, held, rem, fresh=None):
+            out = _packing(masks, n, non_edges, inc, p, held, rem, fresh)
+            if out is not None:
+                blocked = list(masks)
+                for i, (u, v) in enumerate(non_edges):
+                    if i >= p and any(s >> i & 1 for s in out):
+                        blocked[u] |= 1 << v
+                        blocked[v] |= 1 << u
+                assert _free_claw_or_c4(masks, blocked, n) is None, (masks, p, out)
+                seen["packings"] += 1
+            elif rem == 0:
+                assert not pig_mask_check(masks, n), masks
+                seen["cut leaves"] += 1
+            return out
+
+        monkeypatch.setattr(oracle, "_packing", checked)
+        plain = TestPrunedSearchMatchesPlain()
+        plain.test_every_graph_up_to_5()
+        plain.test_seeded_sample_6_to_8()
+        assert min(seen.values()) > 100, seen  # both checks ran
 
 
 class TestPackingBound:
