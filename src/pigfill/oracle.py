@@ -6,14 +6,15 @@ oracle tests candidates with ``recognition.pig_mask_check``, the claw,
 chordless-cycle, net and tent search that the proper-interval recognizer runs
 only to name the witness of a rejection.  The recognizer's accept path, the
 3-sweep LexBFS umbrella order, is not shared, and the claws and C4s the
-oracle prunes by come from its own finders.  The PIG oracle skips only
+oracle prunes by come from its own finder.  The PIG oracle skips only
 branches with fewer picks left than it has induced claws and chordless C4s
 with pairwise disjoint non-edge sets, or that leave one of them unfixed; no
-answer lies in them.  It scans the whole graph for them at the root only:
-each child of a search node looks for new ones only through the pair just
-picked and the pairs its parent's packing stopped blocking.  The other
-searches enumerate everything.  A ``max_n`` budget makes the exponential
-cost explicit: inputs over budget are refused, never truncated.
+answer lies in them.  It looks for them through given pairs only: at the
+root through every non-edge, since each claw and C4 holds one, and at each
+child of a search node through the pair just picked and the pairs its
+parent's packing stopped blocking.  The other searches enumerate
+everything.  A ``max_n`` budget makes the exponential cost explicit: inputs
+over budget are refused, never truncated.
 
 Each forbidden induced subgraph is one edge list, and each family the shapes
 it forbids; a shape's labelled codes are built from its edges on first use.
@@ -68,11 +69,11 @@ def brute_min_pig(g: Graph, max_n: int = 8) -> tuple[int, tuple[Edge, ...]]:
     disjoint need a pick each (as in the bounded search of Kaplan, Shamir and
     Tarjan, SIAM J. Comput. 28, 1999).  A greedy packing of them is a lower
     bound on the picks left; the packing of G is one on the cost, so k starts
-    there.  G's packing comes from a scan of the whole graph; every node
-    below keeps its packing maximal by looking only around the pairs that
-    changed since its parent.  Picks are tried in ascending order and no
-    skipped branch holds a passing subset, so the first subset accepted is
-    the one plain enumeration would return.
+    there.  G's packing looks around every non-edge, as each claw and C4
+    holds one; every node below keeps its packing maximal by looking only
+    around the pairs that changed since its parent.  Picks are tried in
+    ascending order and no skipped branch holds a passing subset, so the
+    first subset accepted is the one plain enumeration would return.
     """
     _require(g.n, max_n, "brute_min_pig")
     n = g.n
@@ -82,7 +83,7 @@ def brute_min_pig(g: Graph, max_n: int = 8) -> tuple[int, tuple[Edge, ...]]:
         inc[u] |= 1 << i
         inc[v] |= 1 << i
     masks = list(g.masks)
-    packing = _packing(masks, n, non_edges, inc, 0, [], len(non_edges))
+    packing = _packing(masks, non_edges, inc, 0, [], len(non_edges), (1 << len(non_edges)) - 1)
     for k in range(len(packing), len(non_edges) + 1):
         picks = _first_picks(masks, n, non_edges, inc, 0, k, packing, 0)
         if picks is not None:
@@ -113,9 +114,10 @@ def _first_picks(
     the new edge or a pair that the child no longer blocks: a pair of the set
     e hits, or a held pair with index from p to e.  Those indices are the
     child's ``fresh``, the only pairs its ``_packing`` looks around; the root
-    passes 0, since the caller's packing is maximal already.
+    of each k passes 0, since the caller's packing, built around every
+    non-edge, is maximal already.
     """
-    held = _packing(masks, n, non_edges, inc, p, held, rem, fresh)
+    held = _packing(masks, non_edges, inc, p, held, rem, fresh)
     if held is None:
         return None
     if rem == 0:
@@ -144,17 +146,18 @@ def _first_picks(
 
 
 def _packing(
-    masks: list[int], n: int, non_edges: tuple[Edge, ...], inc: list[int], p: int, held: list[int], rem: int, fresh: int | None = None
+    masks: list[int], non_edges: tuple[Edge, ...], inc: list[int], p: int, held: list[int], rem: int, fresh: int
 ) -> list[int] | None:
     """``held`` extended greedily by induced claws and C4s of ``masks`` whose
     non-edges avoid the indices from p on that it holds; None once a set
     added has no index from p on or the sets outnumber ``rem``.
 
-    Each added set holds only the indices from p on of its obstruction.  With
-    ``fresh`` None the whole graph is scanned.  Otherwise only claws and C4s
-    through a pair of ``non_edges`` with its index in ``fresh`` are looked
-    for (the pair may be an edge of ``masks``), so the packing returned is
-    maximal if every other claw and C4 meets a pair that ``held`` blocks.
+    Each added set holds only the indices from p on of its obstruction.  Only
+    claws and C4s through a pair of ``non_edges`` with its index in ``fresh``
+    are looked for (the pair may be an edge of ``masks``), so the packing
+    returned is maximal if every other claw and C4 meets a pair that ``held``
+    blocks; with every index in ``fresh`` it is maximal, as each claw and C4
+    holds a non-edge.
     """
     held = held.copy()
     blocked = masks.copy()  # masks plus the held pairs: the finder's non-edges avoid both
@@ -171,13 +174,12 @@ def _packing(
             blocked[v] |= 1 << u
         if len(held) > rem:
             return None
-        found = _free_claw_or_c4(masks, blocked, n) if fresh is None else None
         while fresh:
             found = _free_claw_or_c4_at(masks, blocked, *non_edges[(fresh & -fresh).bit_length() - 1])
             if found is not None:
                 break
             fresh &= fresh - 1
-        if found is None:
+        else:
             return held
         taken = _non_edges_inside(found, inc) >> p << p
         if not taken:
@@ -196,35 +198,6 @@ def _non_edges_inside(vertices: int, inc: list[int]) -> int:
         out |= row & seen
         seen |= row
     return out
-
-
-def _free_claw_or_c4(masks, blocked, n: int) -> int | None:
-    """Vertex mask of an induced claw of ``masks``, else of an induced C4, whose
-    non-edges are not in ``blocked``; None if there is none.
-
-    ``blocked`` holds ``masks`` and more pairs: edges are read from ``masks``,
-    non-edges from ``blocked``.  Claws come in order of (center, leaves), C4s
-    in order of the first vertex, its non-neighbour and their first common
-    neighbour.
-    """
-    for c in range(n):
-        rest = masks[c]
-        while rest:
-            a = rest & -rest
-            rest ^= a
-            pair = _free_pair(blocked, rest & ~blocked[a.bit_length() - 1])
-            if pair:
-                return 1 << c | a | pair
-    full = (1 << n) - 1
-    for a in range(n):
-        far = ~blocked[a] >> (a + 1) << (a + 1) & full
-        while far:
-            b = far & -far
-            far ^= b
-            pair = _free_pair(blocked, masks[a] & masks[b.bit_length() - 1])
-            if pair:
-                return 1 << a | b | pair
-    return None
 
 
 def _free_claw_or_c4_at(masks, blocked, a: int, b: int) -> int | None:

@@ -27,7 +27,7 @@ from pigfill import (
 )
 from pigfill import oracle, xcheck
 from pigfill.graph import strictly_ascending
-from pigfill.oracle import FAMILIES, _free_claw_or_c4, _free_claw_or_c4_at, _packing
+from pigfill.oracle import FAMILIES, _free_claw_or_c4_at, _packing
 from pigfill.recognition import pig_mask_check
 from pigfill.xcheck import _all_graphs as _sweep_graphs, _chunk_graphs, _chunk_size, _sweep_chunks
 
@@ -134,6 +134,11 @@ def _is_claw_or_c4(g, quad):
     return degrees in ([1, 1, 1, 3], [2, 2, 2, 2])
 
 
+def _free_quads(g, held):
+    """The 4-subsets that induce a claw or a C4 with none of their pairs in ``held``."""
+    return [q for q in combinations(range(g.n), 4) if _is_claw_or_c4(g, q) and held.isdisjoint(combinations(q, 2))]
+
+
 class TestBruteMinPig:
     def test_p4(self, p4):
         assert brute_min_pig(p4) == (0, ())
@@ -203,37 +208,6 @@ def _quad(found):
     return tuple(v for v in range(found.bit_length()) if found >> v & 1)
 
 
-class TestFreeClawOrC4:
-    def test_nothing_blocked_every_graph_up_to_5(self):
-        for g in _all_graphs(5):
-            masks = list(g.masks)
-            found = _free_claw_or_c4(masks, masks, g.n)
-            if found is None:
-                assert not any(_is_claw_or_c4(g, q) for q in combinations(range(g.n), 4)), g
-            else:
-                quad = _quad(found)
-                assert len(quad) == 4 and _is_claw_or_c4(g, quad), (g, quad)
-
-    def test_blocked_pairs_are_avoided(self):
-        rng = random.Random(25)
-        for g in _all_graphs(6):
-            held = {pair for pair in non_edges_within(g, range(g.n)) if rng.random() < 0.3}
-            blocked = list(g.masks)
-            for u, v in held:
-                blocked[u] |= 1 << v
-                blocked[v] |= 1 << u
-            free = [
-                q
-                for q in combinations(range(g.n), 4)
-                if _is_claw_or_c4(g, q) and held.isdisjoint(combinations(q, 2))
-            ]
-            found = _free_claw_or_c4(list(g.masks), blocked, g.n)
-            if found is None:
-                assert not free, (g, held)
-            else:
-                assert _quad(found) in free, (g, held, _quad(found))
-
-
 class TestFreeClawOrC4At:
     def test_matches_four_subsets_through_each_pair(self):
         rng = random.Random(27)
@@ -243,11 +217,7 @@ class TestFreeClawOrC4At:
             for u, v in held:
                 blocked[u] |= 1 << v
                 blocked[v] |= 1 << u
-            free = [
-                q
-                for q in combinations(range(g.n), 4)
-                if _is_claw_or_c4(g, q) and held.isdisjoint(combinations(q, 2))
-            ]
+            free = _free_quads(g, held)
             for a, b in permutations(range(g.n), 2):
                 through = [q for q in free if a in q and b in q]
                 found = _free_claw_or_c4_at(list(g.masks), blocked, a, b)
@@ -264,15 +234,14 @@ class TestSearchNodes:
     def test_packings_maximal_and_leaf_cuts_sound(self, monkeypatch):
         seen = {"packings": 0, "cut leaves": 0}
 
-        def checked(masks, n, non_edges, inc, p, held, rem, fresh=None):
-            out = _packing(masks, n, non_edges, inc, p, held, rem, fresh)
+        def checked(masks, non_edges, inc, p, held, rem, fresh):
+            out = _packing(masks, non_edges, inc, p, held, rem, fresh)
+            n = len(masks)
             if out is not None:
-                blocked = list(masks)
-                for i, (u, v) in enumerate(non_edges):
-                    if i >= p and any(s >> i & 1 for s in out):
-                        blocked[u] |= 1 << v
-                        blocked[v] |= 1 << u
-                assert _free_claw_or_c4(masks, blocked, n) is None, (masks, p, out)
+                # the graph of this node, read back only through has_edge
+                g = build_graph(n, [(u, v) for u, v in combinations(range(n), 2) if masks[u] >> v & 1])
+                held = {pair for i, pair in enumerate(non_edges) if i >= p and any(s >> i & 1 for s in out)}
+                assert not _free_quads(g, held), (masks, p, out)
                 seen["packings"] += 1
             elif rem == 0:
                 assert not pig_mask_check(masks, n), masks
@@ -287,7 +256,8 @@ class TestSearchNodes:
 
 
 class TestPackingBound:
-    """The root packing: disjoint obstructions, each needing a pick of its own."""
+    """The root packing: disjoint obstructions, each needing a pick of its own,
+    and maximal."""
 
     def test_root_packing_bounds_the_cost(self):
         for g in _all_graphs(6):
@@ -296,7 +266,7 @@ class TestPackingBound:
             for i, (u, v) in enumerate(non_edges):
                 inc[u] |= 1 << i
                 inc[v] |= 1 << i
-            packing = _packing(list(g.masks), g.n, non_edges, inc, 0, [], len(non_edges))
+            packing = _packing(list(g.masks), non_edges, inc, 0, [], len(non_edges), (1 << len(non_edges)) - 1)
             assert len(packing) <= brute_min_pig(g)[0], g
             index = {pair: i for i, pair in enumerate(non_edges)}
             obstructions = {
@@ -309,6 +279,7 @@ class TestPackingBound:
                 assert s in obstructions, (g, s)  # the non-edges of an induced claw or C4
                 assert not union & s, (g, packing)
                 union |= s
+            assert all(o & union for o in obstructions), (g, packing)  # maximal: every one meets a held pair
 
 
 class TestBruteMinCobipartite:
