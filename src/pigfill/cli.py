@@ -365,8 +365,10 @@ def _cmd_verify(args) -> int:
     fill, order = _read_fill(args.fill, g.n)
     problems = []
     for (u, v), times in Counter(fill).items():
-        if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
+        if not (0 <= u < g.n and 0 <= v < g.n):
             raise GraphInputError(f"fill edge ({u}, {v}) out of range")
+        if u == v:
+            raise GraphInputError(f"fill edge ({u}, {v}) is a self-loop at vertex {u}")
         if times > 1:
             problems.append(f"({u}, {v}) is listed {times} times")
         if g.has_edge(u, v):

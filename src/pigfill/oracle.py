@@ -257,6 +257,7 @@ def _set_lex_less(a_mask: int, b_mask: int) -> bool:
 
 
 Parts = tuple[tuple[int, ...], tuple[int, ...]]
+_BIPARTITION_MAX_N = 20  # the sweeps' default budget: 2^19 bipartitions
 
 
 def _best_bipartition(g: Graph, max_n: int, maximize_cut: bool, what: str) -> tuple[int, Parts]:
@@ -299,7 +300,7 @@ def _best_bipartition(g: Graph, max_n: int, maximize_cut: bool, what: str) -> tu
     return best, (a, b)
 
 
-def brute_min_cobipartite(g: Graph, max_n: int = 20) -> tuple[int, Parts]:
+def brute_min_cobipartite(g: Graph, max_n: int = _BIPARTITION_MAX_N) -> tuple[int, Parts]:
     """Minimum fill turning the graph into two cliques, over all bipartitions.
 
     Ties resolve to the lexicographically least part containing vertex 0.
@@ -307,7 +308,7 @@ def brute_min_cobipartite(g: Graph, max_n: int = 20) -> tuple[int, Parts]:
     return _best_bipartition(g, max_n, False, "brute_min_cobipartite")
 
 
-def brute_max_cut(g: Graph, max_n: int = 20) -> tuple[int, Parts]:
+def brute_max_cut(g: Graph, max_n: int = _BIPARTITION_MAX_N) -> tuple[int, Parts]:
     """Maximum cut over all bipartitions, same tie rule as the co-bipartite sweep."""
     return _best_bipartition(g, max_n, True, "brute_max_cut")
 
@@ -321,23 +322,27 @@ _MAX_SHAPE = 7  # the recognition sweep's limit; longer cycles are tested subset
 # Each forbidden shape once, as its edges on the vertices 0, 1, ...; Ck is the chordless k-cycle.
 _CYCLES = {f"C{k}": tuple((i, (i + 1) % k) for i in range(k)) for k in range(4, _MAX_SHAPE + 1)}
 _SHAPES = {
+    "C3": ((0, 1), (1, 2), (0, 2)),  # not in _CYCLES: pig allows triangles
     "2K2": ((0, 1), (2, 3)),
     "P4": ((0, 1), (1, 2), (2, 3)),
     "claw": ((0, 1), (0, 2), (0, 3)),
     "net": ((0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)),  # a triangle, a pendant at each corner
     "tent": ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)),  # a triangle, an ear on each side
     **_CYCLES,
+    "S222": ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)),  # a claw with each edge subdivided
 }
 _SIZE = {shape: 1 + max(map(max, edges)) for shape, edges in _SHAPES.items()}
 
 # Each family once: the shapes it forbids, each with the kind its witness
 # reports.  A family that forbids the longest cycle here forbids every
-# longer one too (pig: all chordless cycles).
+# longer one too (pig: all chordless cycles).  A forest is a caterpillar forest
+# iff it has no S222 (Harary and Schwenk, Mathematika 18, 1971).
 _FORBIDS = {
     "threshold": {"2K2": "2K2", "C4": "C4", "P4": "P4"},
     "quasi-threshold": {"P4": "P4", "C4": "C4"},
     "split": {"2K2": "2K2", "C4": "C4", "C5": "C5"},
     "pig": {"claw": "claw", "net": "net", "tent": "tent", **dict.fromkeys(_CYCLES, "chordless-cycle")},
+    "caterpillar-forest": {**dict.fromkeys(("C3", *_CYCLES), "chordless-cycle"), "S222": "S222"},
 }
 
 FAMILIES = {family: tuple(dict.fromkeys(kinds.values())) for family, kinds in _FORBIDS.items()}
@@ -431,12 +436,13 @@ def forbidden_subgraph_scan(g: Graph, family: str) -> Witness | None:
 
     Families: ``threshold`` {2K2, C4, P4}; ``quasi-threshold`` {P4, C4};
     ``split`` {2K2, C4, C5}; ``pig`` {claw, net, tent} plus chordless cycles of
-    any length (so an empty scan is exactly proper-interval membership).  The
-    witness is ``(kind, vertices)``, or None when the graph has none.
+    any length (so an empty scan is exactly proper-interval membership);
+    ``caterpillar-forest`` {S222} plus every cycle (each component is a
+    caterpillar).  The witness is ``(kind, vertices)``, or None if there is none.
 
     The subsets are walked by size, over the sizes of the family's shapes, and
-    looked up by their codes; pig's cycles past ``_MAX_SHAPE`` vertices are
-    tested subset by subset.
+    looked up by their codes; cycles past ``_MAX_SHAPE`` vertices are tested
+    subset by subset.
     """
     kinds = _FORBIDS.get(family)
     if kinds is None:
@@ -470,7 +476,7 @@ def forbidden_subgraph_scans(g: Graph, families: Iterable[str] = tuple(FAMILIES)
 # A membership entry holds one bit per family, set iff the graph has no
 # induced obstruction of it: iff ``forbidden_subgraph_scan`` finds no witness.
 _FAMILY_BITS = {family: 1 << i for i, family in enumerate(_FORBIDS)}
-_THRESHOLD, _QT, _SPLIT, _PIG = _FAMILY_BITS.values()
+_THRESHOLD, _QT, _SPLIT, _PIG, _CATERPILLAR = _FAMILY_BITS.values()
 _ALL = sum(_FAMILY_BITS.values())
 
 

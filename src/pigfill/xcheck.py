@@ -5,16 +5,16 @@ functions return rows of (name, instances, failures) so callers can render
 them however they like.  The checks that only these rows need, the partition
 cost and the threshold max-cut identity, live here and not beside the solvers.
 
-The exhaustive recognition sweep cuts its enumeration into chunks and runs
-them in forked worker processes, one per usable CPU (in process when there is
-one CPU or no ``fork``).  Rows merge in enumeration order: counts add and the
-first ten notes are kept, so the rows are the same on any number of CPUs.
-Its reference answers come from the oracle's hereditary membership tables,
-not from a subset scan per graph.  Each call builds the tables of the sizes
-below the top one before it forks.  Each top-size chunk builds its own
-entries from the table below.  The word "scan" in the row names means the
-tables' answer, which the tests hold equal to ``oracle.forbidden_subgraph_scan``
-of each family; both read the oracle's one table of forbidden shapes.
+The exhaustive recognition sweep walks the oracle's graph codes in blocks of
+at most 512 and runs them in forked worker processes, one per usable CPU (in
+process when there is one CPU or no ``fork``).  Rows merge in enumeration
+order: counts add and the first ten notes are kept, so the rows are the same
+on any number of CPUs.  Every row's reference answer comes from the oracle's
+hereditary membership tables, built below the top size before the fork and
+per block at the top size; the caterpillars are the caterpillar forests with
+n - 1 edges.  The word "scan" in the row names means the tables' answer, which
+the tests hold equal to ``oracle.forbidden_subgraph_scan`` of each family;
+both read the oracle's one table of forbidden shapes.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
+from itertools import combinations
+from operator import add
 
 from .caterpillar import build_placement_tables, caterpillar_pig_completion
 from .errors import GraphInputError, OracleBudgetError
-from .graph import Graph, apply_fill, complement, connected_components, induced_subgraph, non_edges_within
+from .graph import Graph, apply_fill, complement, induced_subgraph, non_edges_within
 from .generators import (
     caterpillar_from_buckets,
     enumerate_rooted_forests,
@@ -37,6 +38,8 @@ from .generators import (
     gen_threshold,
 )
 from .oracle import (
+    _BIPARTITION_MAX_N,
+    _CATERPILLAR,
     _PIG,
     _QT,
     _SPLIT,
@@ -307,63 +310,38 @@ def xcheck_caterpillar(max_n: int = 8, random_trials: int = 0, seed: int = 0) ->
 # recognition
 
 
-_CHUNK_GRAPHS = 2048  # the most graphs one chunk of the recognition sweep holds
+_CHUNK_GRAPHS = 512  # the most graphs one chunk of the recognition sweep holds
 
 
-def _chunk_size(n: int, k: int) -> int:
-    """Graphs in a chunk of ``_all_graphs(n)`` that fixes the product's first k runs.
+def _sweep_chunks(n: int) -> list[tuple[int, int, int]]:
+    """The chunks of ``_all_graphs(n)`` in its order, as (n, first code, graph count).
 
-    The product's i-th run is row n - 1 - i's, with 2^i values.
+    The count is a power of two that divides the first code, as ``oracle._members`` takes them.
     """
-    return 1 << (n * (n - 1) // 2 - k * (k - 1) // 2)
+    total = 1 << n * (n - 1) // 2
+    count = min(total, _CHUNK_GRAPHS)
+    return [(n, start, count) for start in range(0, total, count)]
 
 
-def _sweep_chunks(n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """The chunks of ``_all_graphs(n)`` in its order, as (n, fixed run values).
+def _chunk_graphs(chunk: tuple[int, int, int]):
+    """The graphs with codes start, ..., start + count - 1 on n vertices, in order.
 
-    A chunk fixes the values of the product's first k runs (rows n - 1, n - 2,
-    ...), with k the smallest that leaves at most ``_CHUNK_GRAPHS`` graphs, so
-    the chunks are consecutive blocks of the enumeration and each one builds
-    only its own graphs.
+    Graph k has pair i of ``combinations(range(n), 2)`` iff bit i of k is
+    set; its cached ``masks`` are its rows and its cached ``m`` is k's
+    popcount.  The block's codes are start plus every value of its free low
+    bits, so its rows are built from the rows of start by doubling over
+    those bits, as ``oracle._members`` builds the codes of its deletions.
     """
-    k = 0
-    while _chunk_size(n, k) > _CHUNK_GRAPHS:
-        k += 1
-    return [(n, fixed) for fixed in product(*(range(1 << i) for i in range(k)))]
-
-
-def _chunk_start(chunk: tuple[int, tuple[int, ...]]) -> int:
-    """The code of a chunk's first graph: its fixed run values at their rows' bits.
-
-    Row u's pairs to later vertices take bits u(2n - u - 1)/2 on, and the
-    product's i-th run is row n - 1 - i's.
-    """
-    n, fixed = chunk
-    return sum(r << (u * (2 * n - u - 1) // 2) for u, r in zip(range(n - 1, -1, -1), fixed))
-
-
-def _chunk_graphs(chunk: tuple[int, tuple[int, ...]]):
-    """The graphs of one chunk of ``_all_graphs``, in its order.
-
-    The graph at position p has code ``_chunk_start(chunk) + p``; its cached
-    ``masks`` are its rows and its cached ``m`` is the code's popcount.
-    """
-    n, fixed = chunk
-    runs = []
-    for u in reversed(range(n)):
-        run = []
-        for r in range(1 << (n - 1 - u)):
-            rows = [0] * n
-            rows[u] = r << (u + 1)
-            for v in range(u + 1, n):
-                rows[v] = (r >> (v - u - 1) & 1) << u
-            run.append(tuple(rows))
-        runs.append(run)
-    neighbors_of = [tuple(v for v in range(n) if row >> v & 1) for row in range(1 << n)]
-    # the fixed runs' rows, summed once for the chunk
-    head = tuple(map(sum, zip([0] * n, *(run[r] for run, r in zip(runs, fixed)))))
-    for code, parts in enumerate(product(*runs[len(fixed) :]), _chunk_start(chunk)):
-        masks = tuple(map(sum, zip(head, *parts)))
+    n, start, count = chunk
+    # pair i's bits in each row; the pairs' bits are disjoint, so rows add them up
+    pairs = [tuple((w == u) << v | (w == v) << u for w in range(n)) for u, v in combinations(range(n), 2)]
+    block = [tuple(map(sum, zip((0,) * n, *(pair for i, pair in enumerate(pairs) if start >> i & 1))))]
+    for pair in pairs[: count.bit_length() - 1]:
+        block += [tuple(map(add, masks, pair)) for masks in block]
+    neighbors_of = [()]  # row -> the vertices of its bits, doubled over the vertices
+    for w in range(n):
+        neighbors_of += [vs + (w,) for vs in neighbors_of]
+    for code, masks in enumerate(block, start):
         g = Graph(n, tuple(map(neighbors_of.__getitem__, masks)))
         g.__dict__["masks"] = masks
         g.__dict__["m"] = code.bit_count()
@@ -371,39 +349,9 @@ def _chunk_graphs(chunk: tuple[int, tuple[int, ...]]):
 
 
 def _all_graphs(n: int):
-    """Every labelled graph on n vertices, with its rows cached as ``masks``.
-
-    Graph ``k`` has pair ``i`` of ``combinations(range(n), 2)`` iff bit i of k
-    is set.  Row u's pairs to later vertices are one run of those bits, and
-    row 0's run is the lowest, so a product over the runs with row 0 last
-    yields the graphs in the same order.  A run value contributes its bits to
-    row u and one bit u to each later row it reaches; the contributions are
-    disjoint, so each row is their sum.  ``_sweep_chunks`` cuts the product
-    into consecutive blocks.
-    """
+    """Every labelled graph on n vertices in code order: the graphs of each chunk in turn."""
     for chunk in _sweep_chunks(n):
         yield from _chunk_graphs(chunk)
-
-
-def _has_dominating_path(g: Graph) -> bool:
-    """Some simple path sees every vertex (true for a tree iff caterpillar)."""
-    full = (1 << g.n) - 1
-    if g.n <= 1:
-        return True
-
-    def extend(v: int, visited: int, seen: int) -> bool:
-        if seen == full:
-            return True
-        mm = g.masks[v] & ~visited
-        while mm:
-            low = mm & -mm
-            w = low.bit_length() - 1
-            mm ^= low
-            if extend(w, visited | low, seen | g.masks[w] | low):
-                return True
-        return False
-
-    return any(extend(v, 1 << v, (1 << v) | g.masks[v]) for v in range(g.n))
 
 
 _SWEEP_MAX_N = 7
@@ -429,7 +377,7 @@ _RECOGNITION_ROWS = (
 )
 
 
-def _recognition_rows(chunk: tuple[int, tuple[int, ...]], tables: list[bytes]) -> list[CheckRow]:
+def _recognition_rows(chunk: tuple[int, int, int], tables: list[bytes]) -> list[CheckRow]:
     """The recognition sweep's rows over one chunk of ``_all_graphs``.
 
     Below the top size the chunk's membership entries are a slice of its
@@ -437,12 +385,8 @@ def _recognition_rows(chunk: tuple[int, tuple[int, ...]], tables: list[bytes]) -
     Each graph is dropped at once, so the class recognizers are called
     undecorated, without storing their certificates on it.
     """
-    n, fixed = chunk
-    start, count = _chunk_start(chunk), _chunk_size(n, len(fixed))
-    if n < len(tables):
-        entries = tables[n][start : start + count]
-    else:
-        entries = _members(n, start, count, tables[n - 1])
+    n, start, count = chunk
+    entries = tables[n][start : start + count] if n < len(tables) else _members(*chunk, tables[n - 1])
     sequence_of, forest_of, decomposition_of = (
         getattr(fn, "__wrapped__", fn)
         for fn in (threshold_creation_sequence, quasi_threshold_forest, caterpillar_decomposition)
@@ -461,8 +405,8 @@ def _recognition_rows(chunk: tuple[int, tuple[int, ...]], tables: list[bytes]) -
         pig.count(is_proper_interval(g).is_pig == bool(bits & _PIG))
         split.count((split_partition(g) is not None) == bool(bits & _SPLIT))
         d = decomposition_of(g)
-        is_tree = g.m == g.n - 1 and len(connected_components(g)) == 1
-        cater.count((d is not None) == (is_tree and _has_dominating_path(g)), f"n={n}")
+        # a caterpillar forest with n - 1 edges is one tree
+        cater.count((d is not None) == (g.m == n - 1 and bool(bits & _CATERPILLAR)), f"n={n}")
         if d is not None:
             cater_rebuild.count(caterpillar_graph(d) == g)
     return rows
@@ -475,7 +419,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_chunks(chunks: list[tuple[int, tuple[int, ...]]], tables: list[bytes]) -> list[list[CheckRow]]:
+def _map_chunks(chunks: list[tuple[int, int, int]], tables: list[bytes]) -> list[list[CheckRow]]:
     """``_recognition_rows`` of every chunk, in chunk order, one process per usable CPU."""
     rows_of = partial(_recognition_rows, tables=tables)
     processes = min(_usable_cpus(), len(chunks))
@@ -526,11 +470,16 @@ SUITES = {
 def run_xcheck(klass: str, max_n: int | None = None) -> list[CheckRow]:
     if klass != "all" and klass not in SUITES:
         raise ValueError(f"unknown xcheck class {klass!r}; choose from {sorted(SUITES)} or 'all'")
-    if max_n is not None and klass in ("all", "recognition"):
-        _require_sweep_n(max_n)  # refuse before any other suite runs
+    names = [name for name in SUITES if klass in ("all", name)]
+    if max_n is not None:  # refuse before any suite runs, not after every n below the one refused
+        if "recognition" in names:
+            _require_sweep_n(max_n)
+        if max_n > _BIPARTITION_MAX_N and {"threshold", "quasi-threshold"} & set(names):
+            raise OracleBudgetError(
+                f"the threshold and quasi-threshold suites' bipartition oracles refuse max_n={max_n} > {_BIPARTITION_MAX_N}"
+            )
     rows = []
-    for name, fn in SUITES.items():
-        if klass in ("all", name):
-            rows.extend(fn() if max_n is None else fn(max_n))
+    for name in names:
+        rows.extend(SUITES[name]() if max_n is None else SUITES[name](max_n))
     return rows
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import namedtuple
 from enum import IntEnum
 
@@ -300,6 +301,13 @@ class TestVerify:
         assert main(["verify", claw_file, "--fill", str(fill)]) == 1
         assert "already an edge" in capsys.readouterr().out
 
+    def test_self_loop_in_fill_exit_2(self, capsys, claw_file, tmp_path):
+        fill = tmp_path / "fill.json"
+        fill.write_text("[[2, 2]]")
+        assert main(["verify", claw_file, "--fill", str(fill)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "self-loop at vertex 2" in err and "out of range" not in err
+
     def test_bad_fill_file_exit_2(self, capsys, claw_file, tmp_path):
         fill = tmp_path / "fill.json"
         fill.write_text("{broken")
@@ -446,6 +454,16 @@ class TestErrorsAndXcheck:
         captured = capsys.readouterr()
         assert captured.out == ""  # refused before any suite ran
         assert captured.err.startswith("error: ") and "max_n=8" in captured.err
+
+    @pytest.mark.parametrize("klass", ["threshold", "quasi-threshold"])
+    def test_xcheck_over_bipartition_budget_exit_3_at_once(self, capsys, klass):
+        # the bipartition oracles refuse n = 21; the suites would reach it only after every smaller n
+        start = time.perf_counter()
+        assert main(["xcheck", "--class", klass, "--max-n", "21"]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before any suite ran
+        assert captured.err.startswith("error: ") and "max_n=21" in captured.err
 
     def test_import_loads_no_process_pool(self):
         # the recognition sweep imports multiprocessing itself, so start-up pays for none of it

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from functools import cache
 from itertools import combinations, permutations
 
@@ -20,8 +21,11 @@ from pigfill import (
     brute_min_cobipartite,
     brute_min_pig,
     build_graph,
+    caterpillar_decomposition,
+    connected_components,
     forbidden_subgraph_scan,
     forbidden_subgraph_scans,
+    induced_subgraph,
     is_proper_interval,
     non_edges_within,
 )
@@ -29,7 +33,7 @@ from pigfill import oracle, xcheck
 from pigfill.graph import strictly_ascending
 from pigfill.oracle import FAMILIES, _free_claw_or_c4_at, _packing
 from pigfill.recognition import pig_mask_check
-from pigfill.xcheck import _all_graphs as _sweep_graphs, _chunk_graphs, _chunk_size, _sweep_chunks
+from pigfill.xcheck import _all_graphs as _sweep_graphs, _chunk_graphs, _sweep_chunks
 
 from test_graph import graphs
 
@@ -59,6 +63,7 @@ _PLAIN_SHAPES = {
     "claw": ((0, 1), (0, 2), (0, 3)),
     "net": _TRIANGLE + ((0, 3), (1, 4), (2, 5)),  # a pendant at each corner
     "tent": _TRIANGLE + ((0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)),  # a vertex on each side
+    "S222": ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)),  # a claw, each edge subdivided
 }
 
 # family -> {shape: the kind its witness reports}; Ck is the chordless k-cycle, up to the samples' n = 9
@@ -67,6 +72,7 @@ _PLAIN_KINDS = {
     "quasi-threshold": {"P4": "P4", "C4": "C4"},
     "split": {"2K2": "2K2", "C4": "C4", "C5": "C5"},
     "pig": {"claw": "claw", "net": "net", "tent": "tent", **{f"C{k}": "chordless-cycle" for k in range(4, 10)}},
+    "caterpillar-forest": {**{f"C{k}": "chordless-cycle" for k in range(3, 10)}, "S222": "S222"},
 }
 
 
@@ -102,9 +108,9 @@ def _plain_scans(g):
     n = g.n
     adjacent = {pair for pair in combinations(range(n), 2) if g.has_edge(*pair)}
     found = dict.fromkeys(_PLAIN_KINDS)
-    for k in range(4, n + 1):
-        if None not in found.values() or k > 5 and found["pig"] is not None:
-            break  # only pig forbids shapes on more than five vertices
+    for k in range(3, n + 1):
+        if None not in found.values() or k > 5 and None not in (found["pig"], found["caterpillar-forest"]):
+            break  # only pig and caterpillar-forest forbid shapes on more than five vertices
         pairs = tuple(combinations(range(k), 2))
         forms = _plain_forms(k)
         for subset in combinations(range(n), k):
@@ -426,6 +432,7 @@ class TestForbiddenScan:
             "quasi-threshold": None,
             "split": None,
             "pig": ("claw", (0, 1, 2, 3)),
+            "caterpillar-forest": None,
         }
         assert forbidden_subgraph_scans(claw, []) == {}
 
@@ -435,6 +442,7 @@ class TestShapeTable:
 
     # shape -> (its labellings, k! / |Aut|; its sorted degrees)
     _EXPECTED = {
+        "C3": (1, [2, 2, 2]),
         "2K2": (3, [1, 1, 1, 1]),
         "C4": (3, [2, 2, 2, 2]),
         "P4": (12, [1, 1, 2, 2]),
@@ -444,6 +452,7 @@ class TestShapeTable:
         "tent": (120, [2, 2, 2, 4, 4, 4]),
         "C6": (60, [2] * 6),
         "C7": (360, [2] * 7),
+        "S222": (840, [1, 1, 1, 2, 2, 2, 3]),
     }
 
     def test_codes_of_each_shape(self):
@@ -475,6 +484,7 @@ class TestShapeTable:
             "quasi-threshold": ("P4", "C4"),
             "split": ("2K2", "C4", "C5"),
             "pig": ("claw", "net", "tent", "chordless-cycle"),
+            "caterpillar-forest": ("chordless-cycle", "S222"),
         }
 
     def test_import_builds_no_codes(self):
@@ -502,12 +512,28 @@ class TestExhaustiveSweep:
             chunks = _sweep_chunks(n)
             parts = [list(_chunk_graphs(chunk)) for chunk in chunks]
             assert [g for part in parts for g in part] == want, n
-            assert [len(part) for part in parts] == [_chunk_size(n, len(fixed)) for _, fixed in chunks], n
+            assert [len(part) for part in parts] == [count for _, _, count in chunks], n
 
     def test_chunk_sizes_cover_n7_without_building(self):
         chunks = _sweep_chunks(7)
         assert len(set(chunks)) == len(chunks) > 1
-        assert sum(_chunk_size(n, len(fixed)) for n, fixed in chunks) == 1 << 21
+        assert sum(count for _, _, count in chunks) == 1 << 21
+        # consecutive blocks from code 0, each a power of two that divides its start
+        assert [start for _, start, _ in chunks] == [sum(c for _, _, c in chunks[:i]) for i in range(len(chunks))]
+        assert all(count & count - 1 == 0 and start % count == 0 for _, start, count in chunks)
+
+    def test_sampled_n7_blocks_match_build_graph(self):
+        # the first, the last and ten seeded blocks of the n = 7 enumeration
+        chunks = _sweep_chunks(7)
+        rng = random.Random(7)
+        pairs = list(combinations(range(7), 2))
+        for chunk in [chunks[0], chunks[-1], *rng.sample(chunks, 10)]:
+            _, start, count = chunk
+            got = list(_chunk_graphs(chunk))
+            want = [build_graph(7, [e for i, e in enumerate(pairs) if code >> i & 1]) for code in range(start, start + count)]
+            assert got == want, chunk
+            assert [g.__dict__["masks"] for g in got] == [g.masks for g in want], chunk
+            assert [g.__dict__["m"] for g in got] == [len(g.edges()) for g in want], chunk
 
     def _assert_scans_match_plain(self, graphs, one_family):
         for g in graphs:
@@ -554,7 +580,7 @@ class TestMembershipTables:
         tables = oracle._member_tables(7)
         chunks = _sweep_chunks(6)
         assert len(chunks) > 1
-        blocks = [oracle._members(6, xcheck._chunk_start(c), _chunk_size(6, len(c[1])), tables[5]) for c in chunks]
+        blocks = [oracle._members(*c, tables[5]) for c in chunks]
         assert b"".join(blocks) == tables[6]
 
     def test_sampled_n7(self):
@@ -568,6 +594,49 @@ class TestMembershipTables:
             code = sum(1 << i for i in range(len(pairs)) if rng.random() < p)
             g = build_graph(n, [e for i, e in enumerate(pairs) if code >> i & 1])
             assert oracle._members(n, code, 1, below) == bytes([_scan_bits(g)]), code
+
+
+def _is_caterpillar_forest(g):
+    """Per-component reference: every component is a caterpillar."""
+    return all(caterpillar_decomposition(induced_subgraph(g, c)[0]) is not None for c in connected_components(g))
+
+
+class TestCaterpillarForest:
+    """The caterpillar-forest family against the caterpillar recognizer."""
+
+    def test_every_labelled_s222(self):
+        below = oracle._member_tables(7)[6]
+        pairs = list(combinations(range(7), 2))
+        codes = [code for code, shape in oracle._shape_codes(7).items() if shape == "S222"]
+        assert len(codes) == 840
+        for code in codes:
+            g = build_graph(7, [e for i, e in enumerate(pairs) if code >> i & 1])
+            assert g.m == 6 and len(connected_components(g)) == 1, code  # a tree
+            assert caterpillar_decomposition(g) is None, code
+            assert not oracle._members(7, code, 1, below)[0] & oracle._CATERPILLAR, code
+            assert forbidden_subgraph_scan(g, "caterpillar-forest") == ("S222", tuple(range(7))), code
+
+    def test_scan_matches_per_component_recognition(self):
+        # seeded random forests with a few extra edges, relabelled
+        rng = random.Random(12)
+        kinds = Counter()
+        for _ in range(3000):
+            n = rng.randint(1, 12)
+            label = rng.sample(range(n), n)
+            edges = [(label[v], label[rng.randrange(v)]) for v in range(1, n) if rng.random() < 0.9]
+            edges += [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.02]
+            g = build_graph(n, edges)
+            found = forbidden_subgraph_scan(g, "caterpillar-forest")
+            kinds[found and found[0]] += 1
+            assert (found is None) == _is_caterpillar_forest(g), g
+            if found is not None:
+                sub, _ = induced_subgraph(g, found[1])
+                if found[0] == "S222":  # the only tree on 7 vertices that is no caterpillar
+                    assert sub.m == 6 and len(connected_components(sub)) == 1 and caterpillar_decomposition(sub) is None
+                else:
+                    assert sub.m == sub.n and all(sub.degree(v) == 2 for v in range(sub.n))
+                    assert len(connected_components(sub)) == 1
+        assert set(kinds) == {None, "chordless-cycle", "S222"}, kinds
 
 
 def _caterpillar_failing_on_edge_0_last(real, calls_here):
